@@ -100,6 +100,12 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _positive_width(width: float) -> float:
+    if not width > 0:  # also rejects nan
+        raise _CliError(f"--width must be positive, got {width!r}")
+    return width
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -176,7 +182,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         }
     else:
         if args.width is not None:
-            enc = entropy(stratum, A, args.width, root_tol=args.tol)
+            enc = entropy(stratum, A, _positive_width(args.width), root_tol=args.tol)
         else:
             enc = entropy_enclosure(stratum, A, args.N, root_tol=args.tol)
         body = {
@@ -197,7 +203,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     stratum = check_hypothesis(_resolve_surface(args))
     base = _resolve_base(args.base)
     grid = scan(stratum, base, _parse_range(args.s_range), _parse_range(args.u_range),
-                width_goal=args.width if args.width is not None else 1e-10)
+                width_goal=_positive_width(args.width))
     s_min, u_min = grid.argmin_cell()
     summary = "# argmin s=%s u=%s\n" % (_fmt(s_min), _fmt(u_min))
     _emit(grid.to_csv() + summary, args.out)
@@ -268,13 +274,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
 
-def _add_common(p: argparse.ArgumentParser, surface: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, surface: bool = True, formats: bool = True) -> None:
     if surface:
         p.add_argument("--surface", help="builtin name (L, EW, O3, St4, G5, ...) or a file path")
         p.add_argument("--squares", type=int, help="number of squares (with --h and --v)")
         p.add_argument("--h", help="horizontal gluing in cycle notation")
         p.add_argument("--v", help="vertical gluing in cycle notation")
-    p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+    if formats:
+        p.add_argument("--format", choices=("json", "plain"), default="plain")
     p.add_argument("--out", help="write the primary artifact to this path")
     p.add_argument("--config", help="flat key=value file; command-line flags override")
 
@@ -299,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("scan", help="entropy over an (s, u) grid, CSV output")
-    _add_common(p)
+    _add_common(p, formats=False)
     p.add_argument("--base", default="equilateral")
     p.add_argument("--s-range", default="-0.5:0.5:21")
     p.add_argument("--u-range", default="-0.1:0.1:21")
-    p.add_argument("--width", type=float, help="per-cell enclosure width goal")
+    p.add_argument("--width", type=float, default=1e-10, help="per-cell enclosure width goal")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("hessian", help="finite-difference gradient and Hessian in (s, u)")
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("verify", help="run every verification suite")
-    _add_common(p, surface=False)
+    _add_common(p, surface=False, formats=False)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -41,6 +41,8 @@ class UnimodularMap:
     exact: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise LatticeError(f"matrix entries must be finite: {self!r}")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
             raise LatticeError(f"matrix is not unimodular: det = {det!r}")
@@ -154,34 +156,31 @@ class LatticeSum:
     tail_bound: float
 
 
-@lru_cache(maxsize=128)
-def _lattice_points(N: int) -> tuple[np.ndarray, np.ndarray]:
-    # (a,b) over the square window minus the origin, ordered by shells of
-    # max(|a|,|b|) and lexicographically within a shell: a fixed, reproducible
-    # summation order.
+@lru_cache(maxsize=2)
+def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
+    """Norms |A(a,b)|/sigma over the punctured square window of radius N.
+
+    Sorted ascending and read-only.  ``math.fsum`` is exactly rounded, so the
+    order never changes a sum; ascending order only makes it fast.
+    """
     r = np.arange(-N, N + 1)
-    aa, bb = np.meshgrid(r, r, indexing="ij")
-    a, b = aa.ravel(), bb.ravel()
-    keep = (a != 0) | (b != 0)
-    a, b = a[keep], b[keep]
-    order = np.lexsort((b, a, np.maximum(np.abs(a), np.abs(b))))
-    return a[order], b[order]
-
-
-@lru_cache(maxsize=1024)
-def _norms(entries: tuple[float, float, float, float], sigma: float, N: int) -> np.ndarray:
-    a, b = _lattice_points(N)
-    ea, eb, ec, ed = entries
-    x = ea * a + eb * b
-    y = ec * a + ed * b
-    out = np.hypot(x, y) / sigma
+    a, b = np.meshgrid(r, r, indexing="ij")
+    # The origin is the only lattice point of norm 0, so it sorts first.
+    out = np.sort(np.hypot(A.a * a + A.b * b, A.c * a + A.d * b).ravel() / sigma)[1:]
     out.setflags(write=False)
     return out
 
 
-def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
-    """Norms |A(a,b)|/sigma over the punctured window, in shell order."""
-    return _norms((A.a, A.b, A.c, A.d), sigma, N)
+def _tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, prefactor: float) -> float:
+    # prefactor * exp(t*D(A)) / t^2 * exp(-t*r) * (t*r + 1), r = d(A)*N/sigma.
+    if t <= 0 or N < 1:
+        raise LatticeError("t and N must be positive")
+    r = smallest_singular_value(A) * N / sigma
+    try:
+        return (prefactor * math.exp(t * cell_diameter(A, sigma)) / (t * t)
+                * math.exp(-t * r) * (t * r + 1.0))
+    except OverflowError:
+        return math.inf
 
 
 def tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, n: int, k: int) -> float:
@@ -190,34 +189,18 @@ def tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, n: int, k: int)
     E = 2*pi*n*(k+1) * exp(t*D(A)) / t^2 * exp(-t*r) * (t*r + 1) with
     r = d(A)*N/sigma, d the smallest singular value and D the cell diameter.
     """
-    if t <= 0 or N < 1:
-        raise LatticeError("t and N must be positive")
-    r = smallest_singular_value(A) * N / sigma
-    big_d = cell_diameter(A, sigma)
-    try:
-        return (2.0 * math.pi * n * (k + 1) * math.exp(t * big_d) / (t * t)
-                * math.exp(-t * r) * (t * r + 1.0))
-    except OverflowError:
-        return math.inf
+    return _tail_bound(A, sigma, t, N, 2.0 * math.pi * n * (k + 1))
 
 
 def f_truncated(A: UnimodularMap, sigma: float, t: float, N: int) -> LatticeSum:
     """Truncated decay sum over the image lattice, with its tail bound.
 
     The accumulation uses exactly-rounded summation (math.fsum), so the value
-    is independent of any partitioning of the shells.
+    does not depend on the order of the terms.
     """
-    if t <= 0 or N < 1:
-        raise LatticeError("t and N must be positive")
-    norms = lattice_norms(A, sigma, N)
-    value = math.fsum(np.exp(-t * norms))
     # Tail prefactor n*(k+1) equals sigma^2 for a unit-area tiling.
-    r = smallest_singular_value(A) * N / sigma
-    try:
-        tb = (2.0 * math.pi * sigma * sigma * math.exp(t * cell_diameter(A, sigma))
-              / (t * t) * math.exp(-t * r) * (t * r + 1.0))
-    except OverflowError:
-        tb = math.inf
+    tb = _tail_bound(A, sigma, t, N, 2.0 * math.pi * sigma * sigma)
+    value = math.fsum(np.exp(-t * lattice_norms(A, sigma, N)))
     return LatticeSum(value=value, t=t, N=N, tail_bound=tb)
 
 
@@ -232,26 +215,28 @@ def theta_sum(A: UnimodularMap, t: float, N: int) -> float:
 # ---------------------------------------------------------------------------
 # Extended precision (mpmath) versions, behind the same shapes.
 
-_MP_NORM_CACHE: dict[tuple, list] = {}
-
-
-def lattice_norms_mp(A: UnimodularMap, nk1: int, N: int) -> list:
-    """Arbitrary-precision norms |A(a,b)|/sqrt(nk1) in the same shell order."""
-    ea, eb, ec, ed = A.entries_mp()
-    key = (mp.nstr(ea, mp.mp.dps), mp.nstr(eb, mp.mp.dps),
-           mp.nstr(ec, mp.mp.dps), mp.nstr(ed, mp.mp.dps), nk1, N, mp.mp.prec)
-    cached = _MP_NORM_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=2)
+def _norms_mp(entries: tuple, nk1: int, N: int, prec: int) -> tuple:
+    # prec is part of the key only: the norms are computed at the working precision.
+    ea, eb, ec, ed = entries
     sigma = mp.sqrt(nk1)
-    av, bv = _lattice_points(N)
     out = []
-    for a, b in zip(av.tolist(), bv.tolist()):
-        x = ea * a + eb * b
-        y = ec * a + ed * b
-        out.append(mp.sqrt(x * x + y * y) / sigma)
-    _MP_NORM_CACHE[key] = out
-    return out
+    for a in range(-N, N + 1):
+        for b in range(-N, N + 1):
+            if a or b:
+                x = ea * a + eb * b
+                y = ec * a + ed * b
+                out.append(mp.sqrt(x * x + y * y) / sigma)
+    return tuple(out)
+
+
+def lattice_norms_mp(A: UnimodularMap, nk1: int, N: int) -> tuple:
+    """Arbitrary-precision norms |A(a,b)|/sqrt(nk1) over the punctured window.
+
+    Keyed on the exact entries, not on A: maps with equal floats can carry
+    different exact entries.
+    """
+    return _norms_mp(A.entries_mp(), nk1, N, mp.mp.prec)
 
 
 def f_truncated_mp(A: UnimodularMap, nk1: int, t, N: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import UnimodularMap, identity_map, smallest_singular_value
+from .lattice import UnimodularMap, identity_map, lattice_norms, smallest_singular_value
 from .surface import SquareTiledSurface, StratumInfo, SurfaceError, check_hypothesis
 
 # Corner types by the quarter-plane sector they occupy around a vertex,
@@ -263,12 +263,8 @@ def count_paths(
     # |A(a,b)| >= d(A)*max(|a|,|b|), so this window covers every vector of
     # scaled length <= t_max.
     m = int(math.ceil(t_max * sigma / smallest_singular_value(A))) + 1
-    r = np.arange(-m, m + 1)
-    aa, bb = np.meshgrid(r, r, indexing="ij")
-    x = A.a * aa + A.b * bb
-    y = A.c * aa + A.d * bb
-    lengths = np.hypot(x, y).ravel() / sigma
-    lengths = lengths[(lengths > 0) & (lengths <= t_max)]
+    lengths = lattice_norms(A, sigma, m)
+    lengths = lengths[lengths <= t_max]
     nbins = int(math.floor(t_max / delta)) + 1
     hist = np.zeros(nbins)
     idx = np.rint(lengths / delta).astype(int)

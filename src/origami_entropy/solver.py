@@ -52,7 +52,7 @@ class EntropyEnclosure:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if self.h_lo > self.h_hi + 2 * self.root_tol:
+        if self.h_lo > self.h_hi:
             raise SolverError(f"inverted enclosure [{self.h_lo}, {self.h_hi}]")
 
     @property
@@ -62,6 +62,55 @@ class EntropyEnclosure:
     @property
     def width(self) -> float:
         return self.h_hi - self.h_lo
+
+
+def _bracket(
+    g: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+    root_tol: float,
+) -> tuple[float, float, int]:
+    """Bracket [lo, hi] with g(lo) >= target > g(hi), g strictly decreasing.
+
+    From a start lo <= hi, hi doubles while g(hi) >= target and lo halves
+    while g(lo) < target; a start with lo < hi must already satisfy
+    g(lo) >= target.  The bracket is then bisected to width root_tol or to
+    floating-point resolution.  Returns (lo, hi, evaluations of g).
+    """
+    evals = 1
+    ghi = g(hi)
+    glo = ghi if lo == hi else target
+    steps = 0
+    while ghi >= target:  # g too large: move right
+        lo, glo = hi, ghi
+        hi *= 2.0
+        ghi = g(hi)
+        evals += 1
+        steps += 1
+        if steps > _BISECTION_CAP:
+            raise SolverError("no bracket found while doubling: g does not decay to 0")
+    steps = 0
+    while glo < target:  # g too small: move left
+        hi = lo
+        lo /= 2.0
+        glo = g(lo)
+        evals += 1
+        steps += 1
+        if steps > _BISECTION_CAP:
+            raise SolverError("no bracket found while halving: g does not blow up at 0")
+    iterations = 0
+    while hi - lo > root_tol and iterations < _BISECTION_CAP:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket at floating-point resolution
+        evals += 1
+        if g(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, evals
 
 
 def solve_monotone_decreasing(
@@ -79,42 +128,7 @@ def solve_monotone_decreasing(
         raise SolverError("target must be positive")
     if t_seed <= 0:
         raise SolverError("t_seed must be positive")
-    evals = 0
-
-    def geval(t: float) -> float:
-        nonlocal evals
-        evals += 1
-        return g(t)
-
-    lo = hi = t_seed
-    glo = ghi = geval(t_seed)
-    steps = 0
-    while ghi >= target:  # g too large: move right
-        lo, glo = hi, ghi
-        hi *= 2.0
-        ghi = geval(hi)
-        steps += 1
-        if steps > _BISECTION_CAP:
-            raise SolverError("no bracket found while doubling: g does not decay to 0")
-    steps = 0
-    while glo < target:  # g too small: move left
-        hi, ghi = lo, glo
-        lo /= 2.0
-        glo = geval(lo)
-        steps += 1
-        if steps > _BISECTION_CAP:
-            raise SolverError("no bracket found while halving: g does not blow up at 0")
-    # Invariant: g(lo) >= target > g(hi).
-    iterations = 0
-    while hi - lo > root_tol and iterations < _BISECTION_CAP:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at floating-point resolution
-        if geval(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+    lo, hi, evals = _bracket(g, target, t_seed, t_seed, root_tol)
     return 0.5 * (lo + hi), evals
 
 
@@ -124,7 +138,13 @@ def entropy_enclosure(
     N: int,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> EntropyEnclosure:
-    """Enclose the entropy of the deformed surface by solving at cutoff N."""
+    """Enclose the entropy of the deformed surface by solving at cutoff N.
+
+    h_lo is the left end of the truncated equation's bracket (sum >= 1/k) and
+    h_hi the right end of the sum-plus-tail bracket (sum + tail < 1/k).  The
+    second solve starts from the first: sum + tail >= sum puts its root at
+    or right of h_lo.
+    """
     sigma = stratum.sigma
     target = 1.0 / stratum.k
     t_seed = 4.0 * sigma
@@ -136,11 +156,8 @@ def entropy_enclosure(
         s = f_truncated(A, sigma, t, N)
         return s.value + s.tail_bound
 
-    h_lo, e1 = solve_monotone_decreasing(g_lo, target, t_seed, root_tol)
-    h_hi, e2 = solve_monotone_decreasing(g_hi, target, t_seed, root_tol)
-    # Root tolerance slack: each root is only located to root_tol.
-    if h_hi < h_lo:
-        h_lo, h_hi = h_hi, h_lo
+    h_lo, hi, e1 = _bracket(g_lo, target, t_seed, t_seed, root_tol)
+    _, h_hi, e2 = _bracket(g_hi, target, h_lo, hi, root_tol)
     return EntropyEnclosure(h_lo=h_lo, h_hi=h_hi, N=N, root_tol=root_tol, evaluations=e1 + e2)
 
 
@@ -158,8 +175,6 @@ def entropy(
     while N <= _N_CAP:
         try:
             enc = entropy_enclosure(stratum, A, N, root_tol)
-        except EnclosureWidthError:
-            raise
         except SolverError:
             # At small N the tail term exp(t*D) can dominate and the upper
             # equation never brackets; a larger cutoff restores decay.
@@ -189,14 +204,17 @@ def entropy_enclosure_extended(
     """Extended-precision enclosure (pair of mpmath floats).
 
     Runs the double-precision solve for a seed, then polishes both roots by
-    Newton iteration at the requested number of significant digits.
+    Newton iteration at the requested number of significant digits, both
+    from the seed's h_lo: a tail below the working precision then leaves
+    the two runs identical, so rounding never inverts the pair.
     """
     if dps < 30:
         raise SolverError("extended mode needs at least 30 significant digits")
     seed = entropy_enclosure(stratum, A, N)
     nk1 = stratum.n_squares
-    target = mp.mpf(1) / stratum.k
     with mp.workdps(dps):
+        target = mp.mpf(1) / stratum.k
+
         def newton(t0, with_tail: bool):
             t = mp.mpf(t0)
             for _ in range(12):
@@ -214,5 +232,5 @@ def entropy_enclosure_extended(
             return t
 
         h_lo = newton(seed.h_lo, with_tail=False)
-        h_hi = newton(seed.h_hi, with_tail=True)
+        h_hi = newton(seed.h_lo, with_tail=True)
         return h_lo, h_hi

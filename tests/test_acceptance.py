@@ -37,16 +37,18 @@ EQ = equilateral_matrix()
 STATED_DET = 0.0825337
 
 
-def _equilateral_root():
-    """Root of f_t = 1/2 for L (3 squares, k = 2) at the equilateral point.
+def _equilateral_root(n_squares=3, k=2):
+    """Root of f_t = 1/k at the equilateral point for a surface of n_squares squares.
 
-    Independent of the package: on the triangular lattice of covolume 1,
-    |A(a,b)|^2 / sigma^2 = (2 / (3 sqrt 3)) (a^2 + ab + b^2) with sigma^2 = 3,
-    so f_t is a sum over the integer shells m = a^2 + ab + b^2, weighted by
-    their point counts.  Shells beyond m = 2700 contribute terms below
-    e^-140 near the root, far below the 30 digits compared.  Mpmath works
-    at 45 digits.  f is convex and decreasing in t, so Newton's method
-    started left of the root climbs to it monotonically.
+    The defaults are L (3 squares, k = 2).  Independent of the package: on
+    the triangular lattice of covolume 1,
+    |A(a,b)|^2 / sigma^2 = (2 / (sqrt 3 n_squares)) (a^2 + ab + b^2) with
+    sigma^2 = n_squares, so f_t is a sum over the integer shells
+    m = a^2 + ab + b^2, weighted by their point counts.  Shells beyond
+    m = 2700 contribute terms below e^-140 near the root for L and below
+    e^-190 for St4 (7 squares, root near 9.05), far below the 30 digits
+    compared.  Mpmath works at 45 digits.  f is convex and decreasing in t,
+    so Newton's method started left of the root climbs to it monotonically.
     """
     dps, m_max = 45, 2700
     w = math.isqrt(4 * m_max // 3) + 1  # a^2 + ab + b^2 >= 3/4 max(|a|, |b|)^2
@@ -57,12 +59,12 @@ def _equilateral_root():
             if 0 < m <= m_max:
                 shells[m] += 1
     with mp.workdps(dps):
-        scale = 2 / (3 * mp.sqrt(3))
+        scale = 2 / (n_squares * mp.sqrt(3))
         radii = [(count, mp.sqrt(scale * m)) for m, count in sorted(shells.items())]
         t = mp.mpf(4)
         for _ in range(40):
             terms = [(count, r, mp.exp(-t * r)) for count, r in radii]
-            f = mp.fsum(count * e for count, _, e in terms) - mp.mpf(1) / 2
+            f = mp.fsum(count * e for count, _, e in terms) - mp.mpf(1) / k
             df = -mp.fsum(count * r * e for count, r, e in terms)
             step = f / df
             t -= step
@@ -124,6 +126,18 @@ def test_criterion_01_headline_constant():
            "extended %s vs independent %s: %s; stated %s agrees to 17 digits: %s"
            % (enc.h_lo, digits_ok, enc.width, width_ok, elapsed, time_ok,
               ext_str, ind_str, extended_ok, REF_29, stated_ok))
+
+
+def test_extended_root_st4_equilateral():
+    # St4 has k = 6: 1/k must be formed at the working precision, or the
+    # dps-40 root moves by about 1e-16.
+    st4 = check_hypothesis(builtin_surface("St", 4))
+    assert (st4.n_squares, st4.k) == (7, 6)
+    h_lo, h_hi = entropy_enclosure_extended(st4, EQ, 60, dps=40)
+    independent = _equilateral_root(7, 6)
+    with mp.workdps(45):
+        assert abs(h_lo - independent) < mp.mpf("1e-30"), (h_lo, independent)
+        assert abs(h_hi - independent) < mp.mpf("1e-30"), (h_hi, independent)
 
 
 def test_criterion_02_geometric_constants():

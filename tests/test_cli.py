@@ -194,3 +194,31 @@ def test_torus_fails_hypothesis(capsys):
     code, _, err = run(capsys, "entropy", "--squares", "1", "--h", "", "--v", "")
     assert code == 2
     assert "singularities" in err
+
+
+def test_entropy_rejects_nan_entry(capsys):
+    code, out, err = run(capsys, "entropy", "--surface", "L", "--s", "nan")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "scan"])
+@pytest.mark.parametrize("width", ["0", "-1e-8", "nan"])
+def test_nonpositive_width_is_a_validation_error(capsys, command, width):
+    code, out, err = run(capsys, command, "--surface", "L", f"--width={width}")
+    assert code == 2
+    assert out == ""
+    assert "--width" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("info", "--surface", "L", "--format", "csv"),
+    ("scan", "--surface", "L", "--format", "json"),
+    ("verify", "--format", "json"),
+])
+def test_unsupported_format_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -16,6 +16,7 @@ from origami_entropy.lattice import (
     f_truncated_mp_deriv,
     identity_map,
     lattice_norms,
+    lattice_norms_mp,
     modular_lattice,
     rotation,
     shear,
@@ -37,6 +38,33 @@ maps = st.builds(
 def test_unimodular_guard():
     with pytest.raises(LatticeError):
         UnimodularMap(1.0, 0.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unimodular_rejects_non_finite(bad):
+    with pytest.raises(LatticeError):
+        UnimodularMap(1.0, bad, 0.0, 1.0)
+
+
+def test_lattice_norms_sorted_read_only():
+    A = shear(0.7) @ diagonal(0.2)
+    sigma = math.sqrt(3.0)
+    norms = lattice_norms(A, sigma, 6)
+    r = range(-6, 7)
+    want = sorted(np.hypot(A.a * a + A.b * b, A.c * a + A.d * b) / sigma
+                  for a in r for b in r if a or b)
+    assert norms.tolist() == want
+    assert not norms.flags.writeable
+    assert lattice_norms(A, sigma, 6) is norms
+
+
+def test_mp_norms_follow_exact_entries():
+    # Equal floats, different exact entries: the mp norms must not be shared.
+    A = equilateral_matrix()
+    B = UnimodularMap(A.a, A.b, A.c, A.d)
+    assert A == B
+    with mp.workdps(40):
+        assert lattice_norms_mp(A, 3, 2) != lattice_norms_mp(B, 3, 2)
 
 
 def test_equilateral_det():

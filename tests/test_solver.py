@@ -4,7 +4,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from origami_entropy.lattice import diagonal, equilateral_matrix, f_truncated, rotation, shear
+from origami_entropy.lattice import (
+    UnimodularMap,
+    diagonal,
+    equilateral_matrix,
+    f_truncated,
+    rotation,
+    shear,
+)
+from origami_entropy.orbit import OrbitPoint, orbit_matrix
 from origami_entropy.solver import (
     EnclosureWidthError,
     SolverError,
@@ -151,3 +159,32 @@ def test_extended_enclosure():
 def test_extended_requires_30_digits():
     with pytest.raises(SolverError):
         entropy_enclosure_extended(L_STRATUM, equilateral_matrix(), 50, dps=20)
+
+
+def _containment_cases():
+    rng = np.random.default_rng(5)
+    for family, k in (("L", None), ("EW", None), ("O", 3), ("St", 4), ("G", 5)):
+        for s, u in ((0.0, 0.0), (rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1))):
+            yield pytest.param(family, k, s, u, id=f"{family}{k or ''}-{s:+.3f}-{u:+.3f}")
+
+
+@pytest.mark.parametrize("family,k,s,u", list(_containment_cases()))
+def test_enclosure_contains_extended_roots(family, k, s, u):
+    # The float entries rebuilt without exact ones, so that both solves see
+    # the same lattice.  The double bounds are one-sided bracket ends, so
+    # they must contain the dps-40 roots of both equations.
+    stratum = check_hypothesis(builtin_surface(family, k))
+    A = orbit_matrix(OrbitPoint(s, u, equilateral_matrix()))
+    B = UnimodularMap(A.a, A.b, A.c, A.d)
+    enc = entropy_enclosure(stratum, B, 25)
+    ext_lo, ext_hi = entropy_enclosure_extended(stratum, B, 25, dps=40)
+    assert enc.h_lo <= ext_lo <= ext_hi <= enc.h_hi, (enc, ext_lo, ext_hi)
+
+
+def test_extended_pair_is_ordered():
+    # The tail is far below 40 digits here, so both polishes must agree.
+    # Started from the two ends of the double bracket, they ended 9e-41
+    # apart in the wrong order.
+    A = orbit_matrix(OrbitPoint(0.45519606210079544, 0.07818997124695487, equilateral_matrix()))
+    h_lo, h_hi = entropy_enclosure_extended(L_STRATUM, A, 100, dps=40)
+    assert h_lo <= h_hi
