@@ -114,6 +114,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_body(body: dict, args: argparse.Namespace) -> None:
+    """Write body as sorted JSON or as key=value lines, per ``--format``."""
+    if args.format == "json":
+        _emit(json.dumps(body, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _emit("".join(f"{key}={val}\n" for key, val in body.items()), args.out)
+
+
 def _orbit_map(args: argparse.Namespace) -> UnimodularMap:
     base = _resolve_base(args.base)
     return orbit_matrix(OrbitPoint(args.s, args.u, base))
@@ -147,7 +155,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     except SurfaceError as exc:
         data["stratum"] = f"hypothesis fails: {exc}"
     if args.format == "json":
-        _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
+        _emit_body(data, args)
     else:
         lines = [
             f"squares={data['squares']}",
@@ -192,10 +200,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             "width": _fmt(enc.width),
             "agree_digits": _shared_digits(enc.h_lo, enc.h_hi),
         }
-    if args.format == "json":
-        _emit(json.dumps(body, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("".join(f"{key}={val}\n" for key, val in body.items()), args.out)
+    _emit_body(body, args)
     return EXIT_OK
 
 
@@ -214,9 +219,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_hessian(args: argparse.Namespace) -> int:
     stratum = check_hypothesis(_resolve_surface(args))
-    base = _resolve_base(args.base)
-    if args.s or args.u:
-        base = orbit_matrix(OrbitPoint(args.s, args.u, base))
+    base = _orbit_map(args)
     kwargs = dict(target=args.target, t_fixed=args.t_fixed, step=args.step)
     if args.target == "f" and args.t_fixed is None:
         raise _CliError("--target f requires --t-fixed")
@@ -231,10 +234,7 @@ def cmd_hessian(args: argparse.Namespace) -> int:
         "h_uu": _fmt(H[1, 1]),
         "det": _fmt(det),
     }
-    if args.format == "json":
-        _emit(json.dumps(body, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("".join(f"{key}={val}\n" for key, val in body.items()), args.out)
+    _emit_body(body, args)
     return EXIT_OK
 
 
@@ -250,10 +250,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         "h_mid": _fmt(enc.midpoint),
         "h_width": _fmt(enc.width),
     }
-    if args.format == "json":
-        _emit(json.dumps(body, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("".join(f"{key}={val}\n" for key, val in body.items()), args.out)
+    _emit_body(body, args)
     return EXIT_OK
 
 

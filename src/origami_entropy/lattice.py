@@ -131,10 +131,12 @@ def modular_lattice(x: float, y: float) -> UnimodularMap:
 
 
 def smallest_singular_value(A: UnimodularMap) -> float:
-    """The smaller singular value; with det 1 the two multiply to 1."""
-    f = A.a * A.a + A.b * A.b + A.c * A.c + A.d * A.d
-    disc = max(f * f - 4.0, 0.0)
-    return math.sqrt((f - math.sqrt(disc)) / 2.0)
+    """The smaller singular value, |det A| / ||A||_2, which does not cancel.
+
+    For 2x2 matrices ||A||_2 = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2.
+    """
+    norm = 0.5 * (math.hypot(A.a + A.d, A.c - A.b) + math.hypot(A.a - A.d, A.b + A.c))
+    return math.fabs(A.a * A.d - A.b * A.c) / norm
 
 
 def cell_diameter(A: UnimodularMap, sigma: float) -> float:
@@ -172,13 +174,13 @@ def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
 
 
 def _tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, prefactor: float) -> float:
-    # prefactor * exp(t*D(A)) / t^2 * exp(-t*r) * (t*r + 1), r = d(A)*N/sigma.
+    # prefactor * exp(t*(D(A) - r)) / t^2 * (t*r + 1), r = d(A)*N/sigma.  For
+    # r > D it falls strictly in t; it can overflow only when D > r.
     if t <= 0 or N < 1:
         raise LatticeError("t and N must be positive")
     r = smallest_singular_value(A) * N / sigma
     try:
-        return (prefactor * math.exp(t * cell_diameter(A, sigma)) / (t * t)
-                * math.exp(-t * r) * (t * r + 1.0))
+        return prefactor * math.exp(t * (cell_diameter(A, sigma) - r)) / (t * t) * (t * r + 1.0)
     except OverflowError:
         return math.inf
 
@@ -186,7 +188,7 @@ def _tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, prefactor: flo
 def tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, n: int, k: int) -> float:
     """Closed-form bound on the truncation error of the N-window sum.
 
-    E = 2*pi*n*(k+1) * exp(t*D(A)) / t^2 * exp(-t*r) * (t*r + 1) with
+    E = 2*pi*n*(k+1) * exp(t*(D(A) - r)) / t^2 * (t*r + 1) with
     r = d(A)*N/sigma, d the smallest singular value and D the cell diameter.
     """
     return _tail_bound(A, sigma, t, N, 2.0 * math.pi * n * (k + 1))
@@ -256,14 +258,18 @@ def f_truncated_mp_deriv(A: UnimodularMap, nk1: int, t, N: int):
     return -mp.fsum(ell * mp.e ** (-t * ell) for ell in norms if ell <= cutoff)
 
 
-def tail_bound_mp(A: UnimodularMap, nk1: int, t, N: int):
+def tail_bound_mp(A: UnimodularMap, nk1: int, t, N: int) -> tuple:
+    """Extended-precision :func:`tail_bound` T and its t-derivative, as a pair.
+
+    d(ln T)/dt = D - r - 2/t + r/(t*r + 1).
+    """
     t = mp.mpf(t)
     ea, eb, ec, ed = A.entries_mp()
-    f = ea * ea + eb * eb + ec * ec + ed * ed
-    d = mp.sqrt((f - mp.sqrt(f * f - 4)) / 2)
+    norm = (mp.hypot(ea + ed, ec - eb) + mp.hypot(ea - ed, eb + ec)) / 2
     sigma = mp.sqrt(nk1)
     d1 = mp.sqrt((ea + eb) ** 2 + (ec + ed) ** 2)
     d2 = mp.sqrt((ea - eb) ** 2 + (ec - ed) ** 2)
     big_d = max(d1, d2) / sigma
-    r = d * N / sigma
-    return 2 * mp.pi * nk1 * mp.e ** (t * big_d) / t**2 * mp.e ** (-t * r) * (t * r + 1)
+    r = abs(ea * ed - eb * ec) / norm * N / sigma
+    tail = 2 * mp.pi * nk1 * mp.e ** (t * (big_d - r)) / t**2 * (t * r + 1)
+    return tail, tail * (big_d - r - 2 / t + r / (t * r + 1))

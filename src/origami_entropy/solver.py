@@ -16,9 +16,11 @@ import mpmath as mp
 
 from .lattice import (
     UnimodularMap,
+    cell_diameter,
     f_truncated,
     f_truncated_mp,
     f_truncated_mp_deriv,
+    smallest_singular_value,
     tail_bound_mp,
 )
 from .surface import StratumInfo
@@ -167,27 +169,28 @@ def entropy(
     width_goal: float,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> EntropyEnclosure:
-    """Grow the cutoff geometrically until the enclosure is narrow enough."""
-    if width_goal <= 0:
+    """Grow the cutoff geometrically until the enclosure is narrow enough.
+
+    The schedule starts at the first cutoff whose tail bound decays in t,
+    r = d(A)*N/sigma > D(A): below it the upper equation need not bracket.
+    """
+    if not width_goal > 0:  # also rejects nan
         raise SolverError("width_goal must be positive")
-    best: EntropyEnclosure | None = None
+    sigma = stratum.sigma
+    d, big_d = smallest_singular_value(A), cell_diameter(A, sigma)
     N = _N_SCHEDULE_START
+    while not d * N / sigma > big_d:
+        N *= 2
+        if N > _N_CAP:
+            raise SolverError(f"the tail bound for {A!r} decays only above cutoff {_N_CAP}")
+    best: EntropyEnclosure | None = None
     while N <= _N_CAP:
-        try:
-            enc = entropy_enclosure(stratum, A, N, root_tol)
-        except SolverError:
-            # At small N the tail term exp(t*D) can dominate and the upper
-            # equation never brackets; a larger cutoff restores decay.
-            N *= 2
-            continue
+        enc = entropy_enclosure(stratum, A, N, root_tol)
         if best is None or enc.width < best.width:
             best = enc
         if enc.width <= width_goal:
             return enc
         N *= 2
-    if best is None:
-        raise SolverError(
-            f"no cutoff up to {_N_CAP} produced a solvable upper bound for {A!r}")
     raise EnclosureWidthError(
         f"cutoff cap {_N_CAP} reached with enclosure width {best.width:.3e} "
         f"(goal {width_goal:.3e})",
@@ -206,7 +209,8 @@ def entropy_enclosure_extended(
     Runs the double-precision solve for a seed, then polishes both roots by
     Newton iteration at the requested number of significant digits, both
     from the seed's h_lo: a tail below the working precision then leaves
-    the two runs identical, so rounding never inverts the pair.
+    the two runs identical, so rounding never inverts the pair.  A Newton
+    run that has not converged after 12 steps raises :class:`SolverError`.
     """
     if dps < 30:
         raise SolverError("extended mode needs at least 30 significant digits")
@@ -221,15 +225,14 @@ def entropy_enclosure_extended(
                 val = f_truncated_mp(A, nk1, t, N) - target
                 dv = f_truncated_mp_deriv(A, nk1, t, N)
                 if with_tail:
-                    eps = mp.mpf(10) ** (-dps)
-                    tb = tail_bound_mp(A, nk1, t, N)
+                    tb, dtb = tail_bound_mp(A, nk1, t, N)
                     val += tb
-                    dv += (tail_bound_mp(A, nk1, t + eps, N) - tb) / eps
+                    dv += dtb
                 step = val / dv
                 t -= step
                 if abs(step) < mp.mpf(10) ** (-(dps - 2)) * abs(t):
-                    break
-            return t
+                    return t
+            raise SolverError(f"extended Newton did not converge in 12 steps at N={N}")
 
         h_lo = newton(seed.h_lo, with_tail=False)
         h_hi = newton(seed.h_lo, with_tail=True)

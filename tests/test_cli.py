@@ -222,3 +222,20 @@ def test_unsupported_format_is_a_usage_error(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_entropy_near_square_extended(capsys):
+    code, out, _ = run(capsys, "entropy", "--surface", "L", "--precision", "extended",
+                       "--base", "0.9999061564678048,-0.01369957144518846,"
+                       "0.01369957144518846,0.9999061564678048", "--N", "25")
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.strip().split("\n"))
+    assert float(fields["h_lo"]) <= float(fields["h_hi"])
+
+
+def test_entropy_without_decaying_cutoff_fails(capsys):
+    # d(A) = e^-200: no cutoff up to the cap makes the tail decay.
+    code, out, err = run(capsys, "entropy", "--surface", "L", "--u", "200", "--width", "1e-10")
+    assert code == 3
+    assert out == ""
+    assert "cutoff" in err

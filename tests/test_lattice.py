@@ -92,6 +92,21 @@ def test_smallest_singular_value_equilateral():
     assert smallest_singular_value(equilateral_matrix()) == pytest.approx(0.759836, abs=1e-6)
 
 
+@pytest.mark.parametrize("u", [5.0, 9.5, 20.0, 200.0, 460.0])
+def test_smallest_singular_value_large_stretch(u):
+    d = smallest_singular_value(diagonal(u))
+    assert abs(d - math.exp(-u)) <= 4 * math.ulp(math.exp(-u))
+
+
+def test_smallest_singular_value_matches_svd():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        A = shear(rng.uniform(-3, 3)) @ diagonal(rng.uniform(-4, 4)) @ equilateral_matrix()
+        with mp.workdps(50):
+            ref = min(mp.svd_r(mp.matrix([[A.a, A.b], [A.c, A.d]]), compute_uv=False))
+            assert abs(smallest_singular_value(A) - ref) <= 1e-15 * ref, A
+
+
 def test_cell_diameter_identity():
     assert cell_diameter(identity_map(), 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert cell_diameter(identity_map(), math.sqrt(3.0)) == pytest.approx(
@@ -174,6 +189,12 @@ def test_tail_bound_dominates_refinement(t):
         A = shear(rng.uniform(-2, 2)) @ diagonal(rng.uniform(-0.7, 0.7))
         gap = (f_truncated(A, 1.0, t, 40).value - f_truncated(A, 1.0, t, 20).value)
         assert gap <= tail_bound(A, 1.0, t, 20, 1, 0)
+
+
+def test_tail_bound_finite_at_large_t():
+    # exp(t*D) alone overflows here; the tail itself is far below 1.
+    tb = tail_bound(equilateral_matrix(), math.sqrt(3.0), 2000.0, 25, 1, 2)
+    assert math.isfinite(tb) and tb < 1e-300
 
 
 def test_f_truncated_matches_tail_bound_field():

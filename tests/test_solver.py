@@ -4,13 +4,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from origami_entropy import solver
 from origami_entropy.lattice import (
     UnimodularMap,
+    cell_diameter,
     diagonal,
     equilateral_matrix,
     f_truncated,
+    f_truncated_mp,
     rotation,
     shear,
+    smallest_singular_value,
 )
 from origami_entropy.orbit import OrbitPoint, orbit_matrix
 from origami_entropy.solver import (
@@ -123,11 +127,90 @@ def test_entropy_width_goal_guard():
 
 
 def test_entropy_recovers_from_small_cutoffs():
-    # strongly sheared maps make the upper solve diverge at small N;
-    # the cutoff schedule must ride past that
+    # strongly sheared maps have a tail bound that grows in t at small N;
+    # the schedule must start at a cutoff where it decays
     A = shear(2.9) @ diagonal(-0.95)
     enc = entropy(L_STRATUM, A, 1e-6)
     assert enc.width <= 1e-6
+
+
+def _first_decaying_cutoff(A, sigma):
+    # The first schedule value with r = d(A)*N/sigma > D(A).
+    N = 25
+    while not smallest_singular_value(A) * N / sigma > cell_diameter(A, sigma):
+        N *= 2
+    return N
+
+
+def test_entropy_starts_at_first_decaying_cutoff(monkeypatch):
+    calls = []
+
+    def recording(stratum, A, N, *args):
+        try:
+            enc = entropy_enclosure(stratum, A, N, *args)
+        except SolverError:
+            calls.append((N, True))
+            raise
+        calls.append((N, False))
+        return enc
+
+    monkeypatch.setattr(solver, "entropy_enclosure", recording)
+    rng = np.random.default_rng(4)
+    maps = [shear(2.9) @ diagonal(-0.95)] + [
+        orbit_matrix(OrbitPoint(rng.uniform(-3, 3), rng.uniform(-1, 1), equilateral_matrix()))
+        for _ in range(20)]
+    for A in maps:
+        calls.clear()
+        enc = entropy(L_STRATUM, A, 1e-6)
+        assert [raised for _, raised in calls] == [False] * len(calls), (A, calls)
+        assert calls[0][0] == _first_decaying_cutoff(A, L_STRATUM.sigma), (A, calls)
+        assert enc.width <= 1e-6
+
+
+@pytest.mark.parametrize("A,width", [
+    (diagonal(20), 1e-10),  # d(A) N / sigma stays below D(A) up to the cap
+    (diagonal(460), 1e-10),  # the entries reach 1e199
+    (equilateral_matrix(), math.nan),
+], ids=["diag20", "diag460", "nan-width"])
+def test_entropy_fails_before_any_enclosure(monkeypatch, A, width):
+    calls = []
+    monkeypatch.setattr(solver, "entropy_enclosure", lambda *args: calls.append(args))
+    with pytest.raises(SolverError):
+        entropy(L_STRATUM, A, width)
+    assert calls == []
+
+
+def test_extended_upper_root_at_small_cutoff():
+    # At N=5 the tail is large, so the Newton step needs its t-derivative;
+    # the reference root uses d(A) from an SVD and findroot's secant steps.
+    A = equilateral_matrix()
+    _, h_hi = entropy_enclosure_extended(L_STRATUM, A, 5, dps=40)
+    with mp.workdps(40):
+        ea, eb, ec, ed = A.entries_mp()
+        sigma = mp.sqrt(3)
+        r = min(mp.svd_r(mp.matrix([[ea, eb], [ec, ed]]), compute_uv=False)) * 5 / sigma
+        big_d = max(mp.hypot(ea + eb, ec + ed), mp.hypot(ea - eb, ec - ed)) / sigma
+
+        def g(t):
+            tail = 6 * mp.pi * mp.exp(t * (big_d - r)) * (t * r + 1) / t**2
+            return f_truncated_mp(A, 3, t, 5) + tail - mp.mpf(1) / 2
+
+        root = mp.findroot(g, mp.mpf(entropy_enclosure(L_STRATUM, A, 5).h_hi))
+    with mp.workdps(45):
+        assert abs(h_hi - root) < mp.mpf("1e-38"), (h_hi, root)
+
+
+# The floats of a rotation by 0.0137 rad: the characteristic-polynomial
+# d(A) took the square root of a negative number on them at 40 digits.
+NEAR_SQUARE = UnimodularMap(0.9999061564678048, -0.01369957144518846,
+                            0.01369957144518846, 0.9999061564678048)
+
+
+def test_extended_near_square_is_real_and_inside_double():
+    enc = entropy_enclosure(L_STRATUM, NEAR_SQUARE, 25)
+    h_lo, h_hi = entropy_enclosure_extended(L_STRATUM, NEAR_SQUARE, 25, dps=40)
+    assert isinstance(h_lo, mp.mpf) and isinstance(h_hi, mp.mpf)
+    assert enc.h_lo <= h_lo <= h_hi <= enc.h_hi
 
 
 def test_ew_targets_one():
