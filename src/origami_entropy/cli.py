@@ -18,15 +18,9 @@ import mpmath as mp
 import numpy as np
 
 from . import checks, oracle
-from .lattice import LatticeError, UnimodularMap, equilateral_matrix, identity_map
+from .lattice import UnimodularMap, equilateral_matrix, identity_map
 from .orbit import OrbitPoint, fd_gradient, fd_hessian, minimize, orbit_matrix, scan
-from .solver import (
-    EnclosureWidthError,
-    SolverError,
-    entropy,
-    entropy_enclosure,
-    entropy_enclosure_extended,
-)
+from .solver import SolverError, entropy, entropy_enclosure, entropy_enclosure_extended
 from .surface import (
     SquareTiledSurface,
     SurfaceError,
@@ -367,12 +361,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SurfaceError, LatticeError, _CliError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SolverError, oracle.OracleError, EnclosureWidthError) as exc:
+    except (SolverError, oracle.OracleError) as exc:  # OracleError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:  # SurfaceError, LatticeError, orbit input errors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -41,34 +41,66 @@ class UnimodularMap:
     exact: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+        if not all(map(math.isfinite, self._floats)):
             raise LatticeError(f"matrix entries must be finite: {self!r}")
         det = self.a * self.d - self.b * self.c
         if abs(det - 1.0) > DET_TOL:
             raise LatticeError(f"matrix is not unimodular: det = {det!r}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
     def apply(self, x: float, y: float) -> tuple[float, float]:
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def __matmul__(self, other: "UnimodularMap") -> "UnimodularMap":
-        m = self.matrix @ other.matrix
+        return UnimodularMap(
+            *_product(self._floats, other._floats),
+            exact=lambda: _product(self.entries_mp(), other.entries_mp()),
+        )
 
-        def exact():
-            aa, ab, ac, ad = self.entries_mp()
-            ba, bb, bc, bd = other.entries_mp()
-            return (aa * ba + ab * bc, aa * bb + ab * bd,
-                    ac * ba + ad * bc, ac * bb + ad * bd)
-
-        return UnimodularMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1], exact=exact)
+    @property
+    def _floats(self) -> tuple[float, float, float, float]:
+        return (self.a, self.b, self.c, self.d)
 
     def entries_mp(self) -> tuple:
         if self.exact is not None:
             return self.exact()
-        return (mp.mpf(self.a), mp.mpf(self.b), mp.mpf(self.c), mp.mpf(self.d))
+        return tuple(map(mp.mpf, self._floats))
+
+
+# Each formula below is written once, over entries (a, b, c, d) and the
+# arithmetic module m: math for the floats, mpmath for the exact entries.
+
+def _product(p: tuple, q: tuple) -> tuple:
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _map(entries: Callable) -> UnimodularMap:
+    """The map with float entries ``entries(math)`` and exact entries ``entries(mp)``."""
+    return UnimodularMap(*map(float, entries(math)),
+                         exact=lambda: tuple(map(mp.mpf, entries(mp))))
+
+
+def _min_singular(m, e: tuple):
+    # d(A) = |det A| / ||A||_2, with ||A||_2 = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2
+    # exact for 2x2 matrices; nothing cancels.
+    a, b, c, d = e
+    return m.fabs(a * d - b * c) / ((m.hypot(a + d, c - b) + m.hypot(a - d, b + c)) / 2)
+
+
+def _diameter(m, e: tuple, sigma):
+    # D(A): the longer image diagonal of a grid cell of side 1/sigma.
+    a, b, c, d = e
+    return max(m.hypot(a + b, c + d), m.hypot(a - b, c - d)) / sigma
+
+
+def _tail(m, e: tuple, sigma, t, N: int, prefactor) -> tuple:
+    # T = prefactor * exp(t*(D - r)) / t^2 * (t*r + 1), r = d(A)*N/sigma, and
+    # d(ln T)/dt = D - r - 2/t + r/(t*r + 1).  For r > D, T falls strictly in t.
+    big_d = _diameter(m, e, sigma)
+    r = _min_singular(m, e) * N / sigma
+    tail = prefactor * m.exp(t * (big_d - r)) / (t * t) * (t * r + 1)
+    return tail, big_d - r - 2 / t + r / (t * r + 1)
 
 
 def identity_map() -> UnimodularMap:
@@ -76,28 +108,15 @@ def identity_map() -> UnimodularMap:
 
 
 def rotation(theta: float) -> UnimodularMap:
-    c, s = math.cos(theta), math.sin(theta)
-
-    def exact():
-        th = mp.mpf(theta)
-        return (mp.cos(th), -mp.sin(th), mp.sin(th), mp.cos(th))
-
-    return UnimodularMap(c, -s, s, c, exact=exact)
+    return _map(lambda m: (m.cos(theta), -m.sin(theta), m.sin(theta), m.cos(theta)))
 
 
 def shear(s: float) -> UnimodularMap:
-    def exact():
-        return (mp.mpf(1), mp.mpf(s), mp.mpf(0), mp.mpf(1))
-
-    return UnimodularMap(1.0, s, 0.0, 1.0, exact=exact)
+    return _map(lambda m: (1, s, 0, 1))
 
 
 def diagonal(u: float) -> UnimodularMap:
-    def exact():
-        eu = mp.e ** mp.mpf(u)
-        return (eu, mp.mpf(0), mp.mpf(0), 1 / eu)
-
-    return UnimodularMap(math.exp(u), 0.0, 0.0, math.exp(-u), exact=exact)
+    return _map(lambda m: (m.exp(u), 0, 0, m.exp(-u)))
 
 
 def equilateral_matrix() -> UnimodularMap:
@@ -106,46 +125,36 @@ def equilateral_matrix() -> UnimodularMap:
     Columns c*(1,0) and c*(1/2, sqrt(3)/2) with c = (2/sqrt(3))**0.5, so that
     the image lattice has covolume 1 and six shortest vectors of equal norm.
     """
-    c = math.sqrt(2.0 / math.sqrt(3.0))
-    r3 = math.sqrt(3.0)
+    def entries(m):
+        r3 = m.sqrt(3)
+        c = m.sqrt(2 / r3)
+        return (c, c / 2, 0, c * r3 / 2)
 
-    def exact():
-        s3 = mp.sqrt(3)
-        cc = mp.sqrt(2 / s3)
-        return (cc, cc / 2, mp.mpf(0), cc * s3 / 2)
-
-    return UnimodularMap(c, c / 2.0, 0.0, c * r3 / 2.0, exact=exact)
+    return _map(entries)
 
 
 def modular_lattice(x: float, y: float) -> UnimodularMap:
     """Unit-covolume lattice of shape z = x + i*y: columns (1,0), (x,y), over sqrt(y)."""
     if y <= 0:
         raise LatticeError("y must be positive")
-    ry = math.sqrt(y)
 
-    def exact():
-        ryy = mp.sqrt(mp.mpf(y))
-        return (1 / ryy, mp.mpf(x) / ryy, mp.mpf(0), ryy)
+    def entries(m):
+        ry = m.sqrt(y)
+        return (1 / ry, x / ry, 0, ry)
 
-    return UnimodularMap(1.0 / ry, x / ry, 0.0, ry, exact=exact)
+    return _map(entries)
 
 
 def smallest_singular_value(A: UnimodularMap) -> float:
-    """The smaller singular value, |det A| / ||A||_2, which does not cancel.
-
-    For 2x2 matrices ||A||_2 = (hypot(a+d, c-b) + hypot(a-d, b+c)) / 2.
-    """
-    norm = 0.5 * (math.hypot(A.a + A.d, A.c - A.b) + math.hypot(A.a - A.d, A.b + A.c))
-    return math.fabs(A.a * A.d - A.b * A.c) / norm
+    """The smaller singular value, |det A| / ||A||_2, which does not cancel."""
+    return _min_singular(math, A._floats)
 
 
 def cell_diameter(A: UnimodularMap, sigma: float) -> float:
     """Diameter of the image under A of a grid cell of side 1/sigma."""
     if sigma <= 0:
         raise LatticeError("sigma must be positive")
-    d1 = math.hypot(*A.apply(1.0, 1.0))
-    d2 = math.hypot(*A.apply(1.0, -1.0))
-    return max(d1, d2) / sigma
+    return _diameter(math, A._floats, sigma)
 
 
 @dataclass(frozen=True)
@@ -174,13 +183,11 @@ def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
 
 
 def _tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, prefactor: float) -> float:
-    # prefactor * exp(t*(D(A) - r)) / t^2 * (t*r + 1), r = d(A)*N/sigma.  For
-    # r > D it falls strictly in t; it can overflow only when D > r.
-    if t <= 0 or N < 1:
-        raise LatticeError("t and N must be positive")
-    r = smallest_singular_value(A) * N / sigma
+    # It can overflow only when D > r.
+    if t <= 0 or N < 1 or sigma <= 0:
+        raise LatticeError("t, N and sigma must be positive")
     try:
-        return prefactor * math.exp(t * (cell_diameter(A, sigma) - r)) / (t * t) * (t * r + 1.0)
+        return _tail(math, A._floats, sigma, t, N, prefactor)[0]
     except OverflowError:
         return math.inf
 
@@ -247,7 +254,7 @@ def f_truncated_mp(A: UnimodularMap, nk1: int, t, N: int):
     t = mp.mpf(t)
     # Terms beyond ~1.5x the working precision cannot influence the result.
     cutoff = (mp.mp.dps + 15) * mp.log(10) / t
-    return mp.fsum(mp.e ** (-t * ell) for ell in norms if ell <= cutoff)
+    return mp.fsum(mp.exp(-t * ell) for ell in norms if ell <= cutoff)
 
 
 def f_truncated_mp_deriv(A: UnimodularMap, nk1: int, t, N: int):
@@ -255,7 +262,7 @@ def f_truncated_mp_deriv(A: UnimodularMap, nk1: int, t, N: int):
     norms = lattice_norms_mp(A, nk1, N)
     t = mp.mpf(t)
     cutoff = (mp.mp.dps + 15) * mp.log(10) / t
-    return -mp.fsum(ell * mp.e ** (-t * ell) for ell in norms if ell <= cutoff)
+    return -mp.fsum(ell * mp.exp(-t * ell) for ell in norms if ell <= cutoff)
 
 
 def tail_bound_mp(A: UnimodularMap, nk1: int, t, N: int) -> tuple:
@@ -263,13 +270,5 @@ def tail_bound_mp(A: UnimodularMap, nk1: int, t, N: int) -> tuple:
 
     d(ln T)/dt = D - r - 2/t + r/(t*r + 1).
     """
-    t = mp.mpf(t)
-    ea, eb, ec, ed = A.entries_mp()
-    norm = (mp.hypot(ea + ed, ec - eb) + mp.hypot(ea - ed, eb + ec)) / 2
-    sigma = mp.sqrt(nk1)
-    d1 = mp.sqrt((ea + eb) ** 2 + (ec + ed) ** 2)
-    d2 = mp.sqrt((ea - eb) ** 2 + (ec - ed) ** 2)
-    big_d = max(d1, d2) / sigma
-    r = abs(ea * ed - eb * ec) / norm * N / sigma
-    tail = 2 * mp.pi * nk1 * mp.e ** (t * (big_d - r)) / t**2 * (t * r + 1)
-    return tail, tail * (big_d - r - 2 / t + r / (t * r + 1))
+    tail, dlog = _tail(mp, A.entries_mp(), mp.sqrt(nk1), mp.mpf(t), N, 2 * mp.pi * nk1)
+    return tail, tail * dlog

@@ -77,8 +77,11 @@ def _bracket(
 
     From a start lo <= hi, hi doubles while g(hi) >= target and lo halves
     while g(lo) < target; a start with lo < hi must already satisfy
-    g(lo) >= target.  The bracket is then bisected to width root_tol or to
-    floating-point resolution.  Returns (lo, hi, evaluations of g).
+    g(lo) >= target.  A rise of g while doubling raises :class:`SolverError`:
+    it breaks the precondition, and for the sum plus its tail bound (log T_N
+    is convex in t and |f_N'| falls) it means g rises for every larger t.
+    The bracket is then bisected to width root_tol or to floating-point
+    resolution.  Returns (lo, hi, evaluations of g).
     """
     evals = 1
     ghi = g(hi)
@@ -89,6 +92,8 @@ def _bracket(
         hi *= 2.0
         ghi = g(hi)
         evals += 1
+        if ghi > glo:
+            raise SolverError(f"no bracket found while doubling: g rises from t = {lo!r}")
         steps += 1
         if steps > _BISECTION_CAP:
             raise SolverError("no bracket found while doubling: g does not decay to 0")

@@ -239,3 +239,18 @@ def test_entropy_without_decaying_cutoff_fails(capsys):
     assert code == 3
     assert out == ""
     assert "cutoff" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("minimize", "--surface", "L", "--s", "5"),
+    ("minimize", "--surface", "L", "--s", "inf"),
+    ("minimize", "--surface", "L", "--s", "nan"),
+    ("hessian", "--surface", "L", "--step", "0"),
+    ("hessian", "--surface", "L", "--step", "-1"),
+])
+def test_orbit_input_error_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+

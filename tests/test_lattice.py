@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -22,6 +23,7 @@ from origami_entropy.lattice import (
     shear,
     smallest_singular_value,
     tail_bound,
+    tail_bound_mp,
     theta_sum,
 )
 
@@ -263,3 +265,68 @@ def test_exact_entries_survive_composition():
         c = mp.sqrt(2 / mp.sqrt(3))
         assert mp.almosteq(ea, c, rel_eps=mp.mpf(10) ** -38)
         assert mp.almosteq(ed, c * mp.sqrt(3) / 2, rel_eps=mp.mpf(10) ** -38)
+
+
+def _random_constructor(rng):
+    pick = rng.randrange(5)
+    if pick == 0:
+        return rotation(rng.uniform(-4, 4))
+    if pick == 1:
+        return shear(rng.uniform(-3, 3))
+    if pick == 2:
+        return diagonal(rng.uniform(-2, 2))
+    if pick == 3:
+        return equilateral_matrix()
+    return modular_lattice(rng.uniform(-1, 1), rng.uniform(0.2, 3))
+
+
+def test_product_is_plain_arithmetic():
+    # The float entries of a product must not depend on how a BLAS kernel
+    # rounds (with or without fused multiply-add).
+    rng = random.Random(5)
+    for _ in range(200):
+        A = _random_constructor(rng) @ _random_constructor(rng)
+        B = _random_constructor(rng) @ _random_constructor(rng)
+        a, b, c, d = A.a, A.b, A.c, A.d
+        e, f, g, h = B.a, B.b, B.c, B.d
+        C = A @ B
+        assert (C.a, C.b, C.c, C.d) == (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _decaying_tail_cases(rng, count):
+    # (A, t, N) with r = d(A)*N/sigma > D(A), for n = 1, k = 2 (nk1 = 3).
+    sigma = math.sqrt(3.0)
+    for _ in range(count):
+        A = diagonal(rng.uniform(-0.5, 0.5)) @ shear(rng.uniform(-1, 1)) @ equilateral_matrix()
+        n0 = math.floor(cell_diameter(A, sigma) * sigma / smallest_singular_value(A)) + 1
+        yield A, rng.uniform(1.0, 6.0), n0 + rng.randrange(10)
+
+
+def test_tail_bound_mp_matches_float():
+    # The float exponent t*(D - r) carries a few ulps of rounding, so the
+    # relative error grows with t*r; these cases keep t*r below about 40.
+    for A, t, N in _decaying_tail_cases(random.Random(8), 60):
+        assert smallest_singular_value(A) * N / math.sqrt(3.0) > cell_diameter(A, math.sqrt(3.0))
+        want = tail_bound(A, math.sqrt(3.0), t, N, 1, 2)
+        with mp.workdps(40):
+            got = float(tail_bound_mp(A, 3, t, N)[0])
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_tail_bound_mp_derivative():
+    with mp.workdps(40):
+        for A, t, N in _decaying_tail_cases(random.Random(9), 10):
+            tail, dtail = tail_bound_mp(A, 3, t, N)
+            ref = mp.diff(lambda x: tail_bound_mp(A, 3, x, N)[0], mp.mpf(t))
+            assert abs(dtail - ref) <= mp.mpf(10) ** -30 * abs(ref)
+
+
+def test_constructor_floats_round_exact_entries():
+    rng = random.Random(10)
+    for _ in range(100):
+        A = _random_constructor(rng)
+        with mp.workdps(40):
+            exact = [float(x) for x in A.entries_mp()]
+        for got, want in zip((A.a, A.b, A.c, A.d), exact):
+            assert abs(got - want) <= 2 * math.ulp(want)
+

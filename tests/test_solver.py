@@ -167,6 +167,23 @@ def test_entropy_starts_at_first_decaying_cutoff(monkeypatch):
         assert enc.width <= 1e-6
 
 
+def test_bracket_stops_once_tail_rises(monkeypatch):
+    # r = d(A)*N/sigma < D(A): the tail bound, and with it sum + tail, rises
+    # for every t past its minimum, so doubling stops at the first rise.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return f_truncated(*args)
+
+    monkeypatch.setattr(solver, "f_truncated", counting)
+    A = diagonal(2.5) @ equilateral_matrix()
+    assert smallest_singular_value(A) * 100 / L_STRATUM.sigma < cell_diameter(A, L_STRATUM.sigma)
+    with pytest.raises(SolverError):
+        entropy_enclosure(L_STRATUM, A, 100)
+    assert len(calls) <= 60
+
+
 @pytest.mark.parametrize("A,width", [
     (diagonal(20), 1e-10),  # d(A) N / sigma stays below D(A) up to the cap
     (diagonal(460), 1e-10),  # the entries reach 1e199
