@@ -100,6 +100,12 @@ def _positive_width(width: float) -> float:
     return width
 
 
+def _tolerance(tol: float) -> float:
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise _CliError(f"--tol must be positive and finite, got {tol!r}")
+    return tol
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -121,14 +127,15 @@ def _orbit_map(args: argparse.Namespace) -> UnimodularMap:
     return orbit_matrix(OrbitPoint(args.s, args.u, base))
 
 
-def _shared_digits(h_lo: float, h_hi: float) -> int:
+def _shared_digits(h_lo, h_hi, cap: int) -> int:
+    """Significant digits shared by the ends (floats or mpf), relative to the midpoint."""
     mid = 0.5 * (h_lo + h_hi)
     width = h_hi - h_lo
     if mid == 0:
         return 0
     if width <= 0:
-        return 17
-    return max(0, min(17, int(math.floor(-math.log10(width / abs(mid))))))
+        return cap
+    return max(0, min(cap, int(math.floor(-math.log10(width / abs(mid))))))
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -171,28 +178,26 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     stratum = check_hypothesis(_resolve_surface(args))
     A = _orbit_map(args)
+    tol = _tolerance(args.tol)
     if args.precision == "extended":
         h_lo, h_hi = entropy_enclosure_extended(stratum, A, args.N, dps=40)
-        width = h_hi - h_lo
-        digits = 32 if width <= 0 else max(
-            0, min(32, int(mp.floor(-mp.log10(width / abs(h_lo))))))
         body = {
             "h_lo": mp.nstr(h_lo, 32),
             "h_hi": mp.nstr(h_hi, 32),
             "N": args.N,
-            "agree_digits": digits,
+            "agree_digits": _shared_digits(h_lo, h_hi, 32),
         }
     else:
         if args.width is not None:
-            enc = entropy(stratum, A, _positive_width(args.width), root_tol=args.tol)
+            enc = entropy(stratum, A, _positive_width(args.width), root_tol=tol)
         else:
-            enc = entropy_enclosure(stratum, A, args.N, root_tol=args.tol)
+            enc = entropy_enclosure(stratum, A, args.N, root_tol=tol)
         body = {
             "h_lo": _fmt(enc.h_lo),
             "h_hi": _fmt(enc.h_hi),
             "N": enc.N,
             "width": _fmt(enc.width),
-            "agree_digits": _shared_digits(enc.h_lo, enc.h_hi),
+            "agree_digits": _shared_digits(enc.h_lo, enc.h_hi, 17),
         }
     _emit_body(body, args)
     return EXIT_OK

@@ -19,6 +19,7 @@ import mpmath as mp
 import numpy as np
 
 DET_TOL = 1e-12
+_N_CAP = 3200  # largest window radius: (2N+1)^2 norms, 41 M at the cap
 
 
 class LatticeError(ValueError):
@@ -167,13 +168,20 @@ class LatticeSum:
     tail_bound: float
 
 
+def _check_cap(N: int) -> None:
+    if N > _N_CAP:
+        raise LatticeError(f"cutoff N = {N} is above the cap {_N_CAP}")
+
+
 @lru_cache(maxsize=2)
 def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
     """Norms |A(a,b)|/sigma over the punctured square window of radius N.
 
     Sorted ascending and read-only.  ``math.fsum`` is exactly rounded, so the
-    order never changes a sum; ascending order only makes it fast.
+    order never changes a sum; ascending order only makes it fast.  A radius
+    above the cap raises :class:`LatticeError` before anything is built.
     """
+    _check_cap(N)
     r = np.arange(-N, N + 1)
     a, b = np.meshgrid(r, r, indexing="ij")
     # The origin is the only lattice point of norm 0, so it sorts first.
@@ -245,6 +253,7 @@ def lattice_norms_mp(A: UnimodularMap, nk1: int, N: int) -> tuple:
     Keyed on the exact entries, not on A: maps with equal floats can carry
     different exact entries.
     """
+    _check_cap(N)
     return _norms_mp(A.entries_mp(), nk1, N, mp.mp.prec)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,23 +91,36 @@ def scan(
     return GridScan(s_values, u_values, mids, widths, width_goal, complete)
 
 
-def _orbit_value(
-    stratum: StratumInfo,
-    base: UnimodularMap,
-    s: float,
-    u: float,
-    target: str,
-    t_fixed: float | None,
-    width_goal: float,
-) -> float:
-    A = orbit_matrix(OrbitPoint(s, u, base))
-    if target == "f":
-        if t_fixed is None:
-            raise ValueError("t_fixed is required when target='f'")
-        return f_truncated(A, stratum.sigma, t_fixed, 100).value
-    if target == "entropy":
-        return entropy(stratum, A, width_goal).midpoint
-    raise ValueError(f"unknown target {target!r}")
+def _evaluator(stratum: StratumInfo, base: UnimodularMap, target: str,
+               t_fixed: float | None, width_goal: float) -> Callable[[float, float], float]:
+    """(s, u) -> the target at orbit_matrix(OrbitPoint(s, u, base)).
+
+    The target is a pure function of the map's floats, so each distinct map
+    is solved once; the memo lives as long as the returned function.
+    """
+    if target == "f" and t_fixed is None:
+        raise ValueError("t_fixed is required when target='f'")
+    if target not in ("f", "entropy"):
+        raise ValueError(f"unknown target {target!r}")
+    memo: dict[UnimodularMap, float] = {}
+
+    def value(s: float, u: float) -> float:
+        A = orbit_matrix(OrbitPoint(s, u, base))
+        if A not in memo:
+            memo[A] = (f_truncated(A, stratum.sigma, t_fixed, 100).value if target == "f"
+                       else entropy(stratum, A, width_goal).midpoint)
+        return memo[A]
+
+    return value
+
+
+def _stencil(stratum: StratumInfo, base: UnimodularMap, target: str, t_fixed: float | None,
+             step: float, width_goal: float) -> Callable[[int, int], float]:
+    """(i, j) -> the target at (s, u) = (i*step, j*step)."""
+    if not step > 0:  # also rejects nan
+        raise ValueError("step must be positive")
+    value = _evaluator(stratum, base, target, t_fixed, width_goal)
+    return lambda i, j: value(i * step, j * step)
 
 
 def fd_gradient(
@@ -118,15 +132,8 @@ def fd_gradient(
     width_goal: float = 1e-11,
 ) -> np.ndarray:
     """Central first differences of the target in (s, u) at (0, 0)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    def val(s, u):
-        return _orbit_value(stratum, base, s, u, target, t_fixed, width_goal)
-
-    gs = (val(step, 0.0) - val(-step, 0.0)) / (2 * step)
-    gu = (val(0.0, step) - val(0.0, -step)) / (2 * step)
-    return np.array([gs, gu])
+    v = _stencil(stratum, base, target, t_fixed, step, width_goal)
+    return np.array([(v(1, 0) - v(-1, 0)) / (2 * step), (v(0, 1) - v(0, -1)) / (2 * step)])
 
 
 def fd_hessian(
@@ -138,17 +145,11 @@ def fd_hessian(
     width_goal: float = 1e-11,
 ) -> tuple[np.ndarray, float]:
     """Central second differences in (s, u) at (0, 0); returns (H, det H)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    def val(s, u):
-        return _orbit_value(stratum, base, s, u, target, t_fixed, width_goal)
-
-    f00 = val(0.0, 0.0)
+    v = _stencil(stratum, base, target, t_fixed, step, width_goal)
     h2 = step * step
-    hss = (val(step, 0) - 2 * f00 + val(-step, 0)) / h2
-    huu = (val(0, step) - 2 * f00 + val(0, -step)) / h2
-    hsu = (val(step, step) - val(step, -step) - val(-step, step) + val(-step, -step)) / (4 * h2)
+    hss = (v(1, 0) - 2 * v(0, 0) + v(-1, 0)) / h2
+    huu = (v(0, 1) - 2 * v(0, 0) + v(0, -1)) / h2
+    hsu = (v(1, 1) - v(1, -1) - v(-1, 1) + v(-1, -1)) / (4 * h2)
     H = np.array([[hss, hsu], [hsu, huu]])
     return H, float(np.linalg.det(H))
 
@@ -163,30 +164,28 @@ def minimize(
     """Compass (pattern) search on the enclosure midpoint, halving steps.
 
     Polls the four axis directions, moves to any strict improvement, halves
-    the step on failure, and stops once the step falls below stop_tol.
+    the step on failure, and stops once the step falls below stop_tol.  A
+    poll of a map already solved reuses its value, so the path is that of
+    the plain search; the cap counts polls.
     """
     if abs(start.s) > 3 or abs(start.u) > 1.5:
         raise ValueError("start outside the supported region |s|<=3, |u|<=1.5")
+    if not 0 < stop_tol < math.inf:  # also rejects nan
+        raise ValueError(f"stop_tol must be positive and finite, got {stop_tol!r}")
+    value = _evaluator(stratum, base, "entropy", None, width_goal)
     s, u = start.s, start.u
-    evals = 0
-
-    def val(ss, uu):
-        nonlocal evals
-        evals += 1
-        if evals > _MINIMIZE_EVAL_CAP:
-            raise SolverError("minimize: evaluation cap reached")
-        return entropy(stratum, orbit_matrix(OrbitPoint(ss, uu, base)), width_goal).midpoint
-
-    current = val(s, u)
+    current = value(s, u)
+    polls = 1
     step = 0.1
     while step >= stop_tol:
-        moved = False
         for ds, du in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = val(s + ds, u + du)
+            polls += 1
+            if polls > _MINIMIZE_EVAL_CAP:
+                raise SolverError("minimize: evaluation cap reached")
+            cand = value(s + ds, u + du)
             if cand < current:
                 s, u, current = s + ds, u + du, cand
-                moved = True
                 break
-        if not moved:
+        else:  # no poll improved
             step *= 0.5
     return OrbitPoint(s, u, base)

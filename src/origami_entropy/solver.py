@@ -15,6 +15,7 @@ from typing import Callable
 import mpmath as mp
 
 from .lattice import (
+    _N_CAP,
     UnimodularMap,
     cell_diameter,
     f_truncated,
@@ -28,7 +29,6 @@ from .surface import StratumInfo
 DEFAULT_ROOT_TOL = 1e-13
 _BISECTION_CAP = 200
 _N_SCHEDULE_START = 25
-_N_CAP = 3200
 
 
 class SolverError(RuntimeError):
@@ -83,6 +83,8 @@ def _bracket(
     The bracket is then bisected to width root_tol or to floating-point
     resolution.  Returns (lo, hi, evaluations of g).
     """
+    if not 0 < root_tol < math.inf:  # also rejects nan
+        raise SolverError(f"root_tol must be positive and finite, got {root_tol!r}")
     evals = 1
     ghi = g(hi)
     glo = ghi if lo == hi else target

@@ -254,3 +254,20 @@ def test_orbit_input_error_is_a_validation_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
 
+
+@pytest.mark.parametrize("command", ["entropy", "minimize"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_is_a_validation_error(capsys, command, tol):
+    code, out, err = run(capsys, command, "--surface", "L", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "positive and finite" in err
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_entropy_cutoff_above_cap_is_a_validation_error(capsys, precision):
+    code, out, err = run(capsys, "entropy", "--surface", "L", "--N", "3201",
+                         "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert "cap" in err

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -67,6 +68,22 @@ def test_mp_norms_follow_exact_entries():
     assert A == B
     with mp.workdps(40):
         assert lattice_norms_mp(A, 3, 2) != lattice_norms_mp(B, 3, 2)
+
+
+def test_window_above_cap_fails_before_building():
+    # (2N+1)^2 norms at N = 3201 would take about 330 MB per float array.
+    A = equilateral_matrix()
+    tracemalloc.start()
+    try:
+        for build in (lambda: lattice_norms(A, 1.0, 3201),
+                      lambda: lattice_norms_mp(A, 3, 3201),
+                      lambda: f_truncated(A, 1.0, 4.0, 3201)):
+            with pytest.raises(LatticeError, match="cap"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_equilateral_det():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from origami_entropy.lattice import equilateral_matrix, identity_map
+from origami_entropy import orbit
+from origami_entropy.lattice import equilateral_matrix, f_truncated, identity_map
 from origami_entropy.orbit import (
     OrbitPoint,
     fd_gradient,
@@ -129,3 +130,79 @@ def test_minimize_escapes_square_critical_point():
 def test_minimize_start_bounds():
     with pytest.raises(ValueError):
         minimize(L_STRATUM, EQ, OrbitPoint(3.5, 0.0, EQ), stop_tol=1e-4)
+
+
+def test_minimize_rejects_bad_step_tolerance():
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="stop_tol"):
+            minimize(L_STRATUM, EQ, OrbitPoint(0.3, 0.05, EQ), stop_tol=tol)
+
+
+def test_fd_rejects_nan_step():
+    for fd in (fd_gradient, fd_hessian):
+        with pytest.raises(ValueError, match="step must be positive"):
+            fd(L_STRATUM, EQ, step=math.nan)
+
+
+def test_minimize_solves_each_map_once(monkeypatch):
+    maps = []
+
+    def recording(stratum, A, width_goal):
+        maps.append(A)
+        return entropy(stratum, A, width_goal)
+
+    monkeypatch.setattr(orbit, "entropy", recording)
+    minimize(L_STRATUM, EQ, OrbitPoint(0.3, 0.05, EQ), stop_tol=1e-5)
+    assert len(maps) == len(set(maps))
+
+
+def _plain_compass_search(base, s, u, stop_tol):
+    # The search without any reuse: one solve per poll.
+    def h(ss, uu):
+        return entropy(L_STRATUM, orbit_matrix(OrbitPoint(ss, uu, base)), 1e-11).midpoint
+
+    current, step = h(s, u), 0.1
+    while step >= stop_tol:
+        for ds, du in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            cand = h(s + ds, u + du)
+            if cand < current:
+                s, u, current = s + ds, u + du, cand
+                break
+        else:
+            step *= 0.5
+    return s, u
+
+
+def _compass_starts():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        yield EQ, float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.08, 0.08))
+    yield identity_map(), 0.05, 0.02  # test_minimize_escapes_square_critical_point
+
+
+@pytest.mark.parametrize("base,s,u", list(_compass_starts()),
+                         ids=["seeded0", "seeded1", "seeded2", "square"])
+def test_minimize_path_is_plain_compass_search(base, s, u):
+    point = minimize(L_STRATUM, base, OrbitPoint(s, u, base), stop_tol=1e-4)
+    assert (point.s, point.u) == _plain_compass_search(base, s, u, 1e-4)
+
+
+@pytest.mark.parametrize("target", ["entropy", "f"])
+def test_fd_equal_direct_stencil(target):
+    h, t_fixed = 1e-3, 4.3493450461
+
+    def v(s, u):
+        A = orbit_matrix(OrbitPoint(s, u, EQ))
+        if target == "f":
+            return f_truncated(A, L_STRATUM.sigma, t_fixed, 100).value
+        return entropy(L_STRATUM, A, 1e-11).midpoint
+
+    grad = fd_gradient(L_STRATUM, EQ, target, t_fixed, h)
+    H, det = fd_hessian(L_STRATUM, EQ, target, t_fixed, h)
+    f00 = v(0.0, 0.0)
+    hss = (v(h, 0.0) - 2 * f00 + v(-h, 0.0)) / (h * h)
+    huu = (v(0.0, h) - 2 * f00 + v(0.0, -h)) / (h * h)
+    hsu = (v(h, h) - v(h, -h) - v(-h, h) + v(-h, -h)) / (4 * h * h)
+    assert grad.tolist() == [(v(h, 0.0) - v(-h, 0.0)) / (2 * h), (v(0.0, h) - v(0.0, -h)) / (2 * h)]
+    assert H.tolist() == [[hss, hsu], [hsu, huu]]
+    assert det == float(np.linalg.det(np.array([[hss, hsu], [hsu, huu]])))

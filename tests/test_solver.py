@@ -197,6 +197,17 @@ def test_entropy_fails_before_any_enclosure(monkeypatch, A, width):
     assert calls == []
 
 
+@pytest.mark.parametrize("root_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_root_tol_fails_before_any_evaluation(monkeypatch, root_tol):
+    calls = []
+    monkeypatch.setattr(solver, "f_truncated", lambda *args: calls.append(args))
+    with pytest.raises(SolverError, match="root_tol"):
+        entropy(L_STRATUM, equilateral_matrix(), 1e-6, root_tol=root_tol)
+    with pytest.raises(SolverError, match="root_tol"):
+        entropy_enclosure(L_STRATUM, equilateral_matrix(), 25, root_tol=root_tol)
+    assert calls == []
+
+
 def test_extended_upper_root_at_small_cutoff():
     # At N=5 the tail is large, so the Newton step needs its t-derivative;
     # the reference root uses d(A) from an SVD and findroot's secant steps.
