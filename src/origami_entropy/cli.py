@@ -19,7 +19,7 @@ import numpy as np
 
 from . import checks, oracle
 from .lattice import UnimodularMap, equilateral_matrix, identity_map
-from .orbit import OrbitPoint, fd_gradient, fd_hessian, minimize, orbit_matrix, scan
+from .orbit import OrbitPoint, _fd_derivatives, minimize, orbit_matrix, scan
 from .solver import SolverError, entropy, entropy_enclosure, entropy_enclosure_extended
 from .surface import (
     SquareTiledSurface,
@@ -222,8 +222,7 @@ def cmd_hessian(args: argparse.Namespace) -> int:
     kwargs = dict(target=args.target, t_fixed=args.t_fixed, step=args.step)
     if args.target == "f" and args.t_fixed is None:
         raise _CliError("--target f requires --t-fixed")
-    grad = fd_gradient(stratum, base, **kwargs)
-    H, det = fd_hessian(stratum, base, **kwargs)
+    grad, H, det = _fd_derivatives(stratum, base, **kwargs)
     body = {
         "grad_s": _fmt(grad[0]),
         "grad_u": _fmt(grad[1]),

@@ -192,8 +192,8 @@ def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
 
 def _tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, prefactor: float) -> float:
     # It can overflow only when D > r.
-    if t <= 0 or N < 1 or sigma <= 0:
-        raise LatticeError("t, N and sigma must be positive")
+    if not 0 < t < math.inf or N < 1 or sigma <= 0:  # also rejects a nan t
+        raise LatticeError(f"t must be positive and finite, N and sigma positive; got t = {t!r}")
     try:
         return _tail(math, A._floats, sigma, t, N, prefactor)[0]
     except OverflowError:
@@ -223,8 +223,8 @@ def f_truncated(A: UnimodularMap, sigma: float, t: float, N: int) -> LatticeSum:
 
 def theta_sum(A: UnimodularMap, t: float, N: int) -> float:
     """Gaussian lattice sum over the full window, origin included."""
-    if t <= 0 or N < 1:
-        raise LatticeError("t and N must be positive")
+    if not 0 < t < math.inf or N < 1:  # also rejects a nan t
+        raise LatticeError(f"t must be positive and finite and N positive; got t = {t!r}")
     norms = lattice_norms(A, 1.0, N)
     return 1.0 + math.fsum(np.exp(-t * norms * norms))
 

@@ -73,6 +73,8 @@ def scan(
         raise ValueError("grids must be nonempty")
     if list(s_values) != sorted(s_values) or list(u_values) != sorted(u_values):
         raise ValueError("grids must be ascending")
+    if not width_goal > 0:  # also rejects nan
+        raise ValueError(f"width_goal must be positive, got {width_goal!r}")
     mids = np.full((len(u_values), len(s_values)), np.nan)
     widths = np.full_like(mids, np.nan)
     complete = True
@@ -123,6 +125,10 @@ def _stencil(stratum: StratumInfo, base: UnimodularMap, target: str, t_fixed: fl
     return lambda i, j: value(i * step, j * step)
 
 
+def _gradient(v: Callable[[int, int], float], step: float) -> np.ndarray:
+    return np.array([(v(1, 0) - v(-1, 0)) / (2 * step), (v(0, 1) - v(0, -1)) / (2 * step)])
+
+
 def fd_gradient(
     stratum: StratumInfo,
     base: UnimodularMap,
@@ -132,8 +138,26 @@ def fd_gradient(
     width_goal: float = 1e-11,
 ) -> np.ndarray:
     """Central first differences of the target in (s, u) at (0, 0)."""
+    return _gradient(_stencil(stratum, base, target, t_fixed, step, width_goal), step)
+
+
+def _fd_derivatives(
+    stratum: StratumInfo,
+    base: UnimodularMap,
+    target: str = "entropy",
+    t_fixed: float | None = None,
+    step: float = DEFAULT_FD_STEP,
+    width_goal: float = 1e-11,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Central first and second differences in (s, u) at (0, 0) from one
+    nine-point stencil, each map solved once; returns (gradient, H, det H)."""
     v = _stencil(stratum, base, target, t_fixed, step, width_goal)
-    return np.array([(v(1, 0) - v(-1, 0)) / (2 * step), (v(0, 1) - v(0, -1)) / (2 * step)])
+    h2 = step * step
+    hss = (v(1, 0) - 2 * v(0, 0) + v(-1, 0)) / h2
+    huu = (v(0, 1) - 2 * v(0, 0) + v(0, -1)) / h2
+    hsu = (v(1, 1) - v(1, -1) - v(-1, 1) + v(-1, -1)) / (4 * h2)
+    H = np.array([[hss, hsu], [hsu, huu]])
+    return _gradient(v, step), H, float(np.linalg.det(H))
 
 
 def fd_hessian(
@@ -145,13 +169,8 @@ def fd_hessian(
     width_goal: float = 1e-11,
 ) -> tuple[np.ndarray, float]:
     """Central second differences in (s, u) at (0, 0); returns (H, det H)."""
-    v = _stencil(stratum, base, target, t_fixed, step, width_goal)
-    h2 = step * step
-    hss = (v(1, 0) - 2 * v(0, 0) + v(-1, 0)) / h2
-    huu = (v(0, 1) - 2 * v(0, 0) + v(0, -1)) / h2
-    hsu = (v(1, 1) - v(1, -1) - v(-1, 1) + v(-1, -1)) / (4 * h2)
-    H = np.array([[hss, hsu], [hsu, huu]])
-    return H, float(np.linalg.det(H))
+    _, H, det = _fd_derivatives(stratum, base, target, t_fixed, step, width_goal)
+    return H, det
 
 
 def minimize(

@@ -36,7 +36,7 @@ class SolverError(RuntimeError):
 
 
 class EnclosureWidthError(SolverError):
-    """Raised when the N cap is hit; carries the best enclosure found."""
+    """Raised when no cutoff meets the width goal; carries the narrowest enclosure."""
 
     def __init__(self, message: str, best: "EntropyEnclosure"):
         super().__init__(message)
@@ -176,32 +176,40 @@ def entropy(
     width_goal: float,
     root_tol: float = DEFAULT_ROOT_TOL,
 ) -> EntropyEnclosure:
-    """Grow the cutoff geometrically until the enclosure is narrow enough.
+    """Double the cutoff N = 25, 50, ... until the enclosure is narrow enough.
 
-    The schedule starts at the first cutoff whose tail bound decays in t,
-    r = d(A)*N/sigma > D(A): below it the upper equation need not bracket.
+    A cutoff where the tail bound does not decay in t, r = d(A)*N/sigma <=
+    D(A), is skipped without a solve: there the upper equation need not
+    bracket.  The first enclosure of width <= width_goal is returned.  Once
+    a doubled cutoff no longer narrows the enclosure, root_tol, not N, sets
+    its width, and :class:`EnclosureWidthError` carries the previous,
+    narrowest enclosure; so it does at the cutoff cap.
     """
     if not width_goal > 0:  # also rejects nan
         raise SolverError("width_goal must be positive")
     sigma = stratum.sigma
     d, big_d = smallest_singular_value(A), cell_diameter(A, sigma)
+    enc: EntropyEnclosure | None = None
     N = _N_SCHEDULE_START
-    while not d * N / sigma > big_d:
-        N *= 2
-        if N > _N_CAP:
-            raise SolverError(f"the tail bound for {A!r} decays only above cutoff {_N_CAP}")
-    best: EntropyEnclosure | None = None
     while N <= _N_CAP:
-        enc = entropy_enclosure(stratum, A, N, root_tol)
-        if best is None or enc.width < best.width:
-            best = enc
-        if enc.width <= width_goal:
-            return enc
+        if d * N / sigma > big_d:
+            nxt = entropy_enclosure(stratum, A, N, root_tol)
+            if nxt.width <= width_goal:
+                return nxt
+            if enc is not None and nxt.width >= enc.width:
+                raise EnclosureWidthError(
+                    f"enclosure width {enc.width:.3e} at cutoff {enc.N} does not narrow at "
+                    f"cutoff {N}: root_tol {root_tol:.3e} sets it (goal {width_goal:.3e})",
+                    enc,
+                )
+            enc = nxt
         N *= 2
+    if enc is None:
+        raise SolverError(f"the tail bound for {A!r} decays only above cutoff {_N_CAP}")
     raise EnclosureWidthError(
-        f"cutoff cap {_N_CAP} reached with enclosure width {best.width:.3e} "
+        f"cutoff cap {_N_CAP} reached with enclosure width {enc.width:.3e} "
         f"(goal {width_goal:.3e})",
-        best,
+        enc,
     )
 
 

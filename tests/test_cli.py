@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from origami_entropy import orbit, solver
 from origami_entropy.cli import main
 
 
@@ -271,3 +272,46 @@ def test_entropy_cutoff_above_cap_is_a_validation_error(capsys, precision):
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_hessian_non_finite_t_is_a_validation_error(capsys, t):
+    code, out, err = run(capsys, "hessian", "--surface", "L", "--target", "f", f"--t-fixed={t}")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("name,map_arg,target", [
+    ("entropy", 1, ("entropy",)),
+    ("f_truncated", 0, ("f", "--t-fixed", "4.35")),
+])
+def test_hessian_solves_each_stencil_map_once(capsys, monkeypatch, name, map_arg, target):
+    maps = []
+    solve = getattr(orbit, name)
+
+    def recording(*args):
+        maps.append(args[map_arg])
+        return solve(*args)
+
+    monkeypatch.setattr(orbit, name, recording)
+    code, _, _ = run(capsys, "hessian", "--surface", "L", "--target", *target)
+    assert code == 0
+    assert len(maps) == len(set(maps)) == 9
+
+
+def test_entropy_width_below_root_tol_floor_fails_after_two_solves(capsys, monkeypatch):
+    calls = []
+    enclose = solver.entropy_enclosure
+
+    def capped(stratum, A, N, *args):
+        assert len(calls) < 2, f"a third solve at N={N}"
+        calls.append(N)
+        return enclose(stratum, A, N, *args)
+
+    monkeypatch.setattr(solver, "entropy_enclosure", capped)
+    code, out, err = run(capsys, "entropy", "--surface", "L", "--width", "1e-14")
+    assert code == 3
+    assert out == ""
+    assert calls == [25, 50]
+    assert "does not narrow" in err

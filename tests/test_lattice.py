@@ -155,6 +155,14 @@ def test_f_truncated_input_guards():
         f_truncated(identity_map(), 1.0, 1.0, 0)
 
 
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_is_rejected(t):
+    with pytest.raises(LatticeError, match="finite"):
+        f_truncated(equilateral_matrix(), math.sqrt(3.0), t, 25)
+    with pytest.raises(LatticeError, match="finite"):
+        theta_sum(equilateral_matrix(), t, 25)
+
 @settings(max_examples=20, deadline=None)
 @given(maps, st.floats(0.1, 3.0))
 def test_rotation_invariance(A, theta):

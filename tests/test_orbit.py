@@ -64,6 +64,15 @@ def test_scan_rejects_bad_grids():
         scan(L_STRATUM, EQ, [0.1, 0.0], [0.0], 1e-8)
 
 
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_scan_rejects_bad_width_before_any_cell(monkeypatch, width):
+    calls = []
+    monkeypatch.setattr(orbit, "entropy", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="width_goal"):
+        scan(L_STRATUM, EQ, [0.0, 0.1], [0.0], width_goal=width)
+    assert calls == []
+
 def test_scan_csv_shape():
     grid = scan(L_STRATUM, EQ, [-0.1, 0.1], [0.0], width_goal=1e-9)
     lines = grid.to_csv().strip().split("\n")

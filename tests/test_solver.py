@@ -299,3 +299,98 @@ def test_extended_pair_is_ordered():
     A = orbit_matrix(OrbitPoint(0.45519606210079544, 0.07818997124695487, equilateral_matrix()))
     h_lo, h_hi = entropy_enclosure_extended(L_STRATUM, A, 100, dps=40)
     assert h_lo <= h_hi
+
+
+class _CallCap:
+    """Stands in for solver.entropy_enclosure and records (N, width) per call.
+
+    It fails the test on a call past the stop rule (one after a width no
+    narrower than the one before) or past ``limit`` calls, so a schedule that keeps solving up to
+    the cap fails in under a second instead of running to N = 3200.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.calls: list[tuple[int, float]] = []
+
+    def __call__(self, stratum, A, N, *args):
+        widths = [w for _, w in self.calls]
+        assert len(self.calls) < self.limit, f"more than {self.limit} calls: {self.calls}"
+        assert len(widths) < 2 or widths[-1] < widths[-2], \
+            f"called at N={N} after the width stopped narrowing: {self.calls}"
+        enc = entropy_enclosure(stratum, A, N, *args)
+        self.calls.append((N, enc.width))
+        return enc
+
+
+def test_entropy_below_root_tol_floor_stops_after_two_cutoffs(monkeypatch):
+    cap = _CallCap(limit=2)
+    monkeypatch.setattr(solver, "entropy_enclosure", cap)
+    with pytest.raises(EnclosureWidthError) as exc:
+        entropy(L_STRATUM, equilateral_matrix(), 1e-14)
+    assert [N for N, _ in cap.calls] == [25, 50]
+    assert exc.value.best == entropy_enclosure(L_STRATUM, equilateral_matrix(), 25)
+
+
+def _stop_maps():
+    # |s| <= 1.5, |u| <= 0.5 keeps every cutoff at or below 200; the sheared
+    # map starts at 100 and stops at 400.
+    rng = np.random.default_rng(4)
+    return [shear(2.9) @ diagonal(-0.95)] + [
+        orbit_matrix(OrbitPoint(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5), equilateral_matrix()))
+        for _ in range(10)]
+
+
+def test_entropy_stops_one_cutoff_after_the_width_stops_shrinking(monkeypatch):
+    for A in _stop_maps():
+        cap = _CallCap(limit=6)
+        monkeypatch.setattr(solver, "entropy_enclosure", cap)
+        with pytest.raises(EnclosureWidthError) as exc:
+            entropy(L_STRATUM, A, 1e-14)
+        Ns, widths = zip(*cap.calls)
+        assert Ns[0] == _first_decaying_cutoff(A, L_STRATUM.sigma), (A, cap.calls)
+        assert list(Ns) == [Ns[0] * 2**i for i in range(len(Ns))], (A, cap.calls)
+        assert all(a > b for a, b in zip(widths[:-2], widths[1:-1])), (A, cap.calls)
+        assert widths[-1] == widths[-2], (A, cap.calls)
+        assert (exc.value.best.N, exc.value.best.width) == (Ns[-2], widths[-2])
+
+
+def test_entropy_at_cutoff_cap_carries_last_enclosure(monkeypatch):
+    # The width still shrinks at N = 50 (7.2e-5 -> 9.8e-14), so the cap stops it.
+    A = shear(2.0) @ equilateral_matrix()
+    cap = _CallCap(limit=2)
+    monkeypatch.setattr(solver, "entropy_enclosure", cap)
+    monkeypatch.setattr(solver, "_N_CAP", 50)
+    with pytest.raises(EnclosureWidthError, match="cap 50") as exc:
+        entropy(L_STRATUM, A, 1e-14)
+    assert cap.calls[0][1] > cap.calls[1][1]
+    assert exc.value.best == entropy_enclosure(L_STRATUM, A, 50)
+
+
+def _two_loop_schedule(stratum, A, width_goal):
+    # The schedule before the stop rule: find the first decaying cutoff,
+    # then solve every cutoff up to the cap.
+    N = _first_decaying_cutoff(A, stratum.sigma)
+    while N <= 3200:
+        enc = solver.entropy_enclosure(stratum, A, N)
+        if enc.width <= width_goal:
+            return enc
+        N *= 2
+    raise EnclosureWidthError("cap", enc)
+
+
+def test_entropy_equals_two_loop_schedule(monkeypatch):
+    # Both schedules read one memo, so each (map, cutoff) is solved once.
+    solved = {}
+
+    def memo(stratum, A, N, *args):
+        if (A, N) not in solved:
+            solved[A, N] = entropy_enclosure(stratum, A, N, *args)
+        return solved[A, N]
+
+    monkeypatch.setattr(solver, "entropy_enclosure", memo)
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        A = orbit_matrix(OrbitPoint(rng.uniform(-3, 3), rng.uniform(-1, 1), equilateral_matrix()))
+        for goal in (1e-6, 1e-10):
+            assert entropy(L_STRATUM, A, goal) == _two_loop_schedule(L_STRATUM, A, goal), (A, goal)
