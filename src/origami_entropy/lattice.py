@@ -20,6 +20,7 @@ import numpy as np
 
 DET_TOL = 1e-12
 _N_CAP = 3200  # largest window radius: (2N+1)^2 norms, 41 M at the cap
+_MARGIN_BITS = 80  # a decay sum drops terms summing to at most 2^-80 of its largest
 
 
 class LatticeError(ValueError):
@@ -78,8 +79,11 @@ def _product(p: tuple, q: tuple) -> tuple:
 
 def _map(entries: Callable) -> UnimodularMap:
     """The map with float entries ``entries(math)`` and exact entries ``entries(mp)``."""
-    return UnimodularMap(*map(float, entries(math)),
-                         exact=lambda: tuple(map(mp.mpf, entries(mp))))
+    try:
+        floats = entries(math)
+    except OverflowError as exc:  # e.g. math.exp(1000) in diagonal
+        raise LatticeError(f"matrix entries must be finite: {exc}") from None
+    return UnimodularMap(*map(float, floats), exact=lambda: tuple(map(mp.mpf, entries(mp))))
 
 
 def _min_singular(m, e: tuple):
@@ -209,15 +213,65 @@ def tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, n: int, k: int)
     return _tail_bound(A, sigma, t, N, 2.0 * math.pi * n * (k + 1))
 
 
+def _decay_window_sum(norms: np.ndarray, t: float) -> float:
+    """``math.fsum(np.exp(-t * norms))``, bit for bit, from a prefix of half the terms.
+
+    ``norms`` is a sorted window from :func:`lattice_norms`; let ``half =
+    norms[::2]``.
+
+    Halving is exact.  v -> -v has no fixed point on the punctured window,
+    and the computed norms of v and -v are bit-identical: negating the
+    integers negates each product and sum exactly, and ``hypot`` ignores
+    signs.  So the sorted array is made of runs of equal values, each of
+    even length; every run starts at an even index, and ``half`` holds each
+    value exactly half as often.  The exact sum of the terms of ``norms`` is
+    therefore twice that of ``half``, and since scaling by 2 is exact and
+    commutes with rounding to nearest while the half-sum is a normal float,
+    ``fsum(full) == 2 * fsum(half)``.
+
+    The cut.  With ell = ln(len(half)) and j = searchsorted(half, half[0] +
+    (_MARGIN_BITS*ln 2 + ell) / t), only ``half[:j]`` is summed into s.
+    ``-t * half[:j]`` gives the same products as ``-t * norms`` does for
+    those elements, and ``np.exp`` of a contiguous array gives each element
+    the same value, so the prefix terms are terms of the full expression.
+
+    The check.  The norms ascend, so each of the len(half) - j dropped terms
+    is at most e^(-t*half[j]); ``rest = 2*(len(half) - j)*max(math.exp(-t*
+    half[j]), 2^-1074)`` bounds their sum, the factor 2 covering the error
+    of ``np.exp`` and ``math.exp`` (under 1 ulp each) and the floor covering
+    underflow.  The exact half-sum lies between the exact prefix sum and
+    that sum plus ``rest``.  If ``fsum(prefix terms + [rest]) == s``, both
+    ends round to s, and rounding is monotone, so the exact half-sum rounds
+    to s too.
+
+    By the choice of j, ``rest`` is at most 2^(1 - _MARGIN_BITS) of the
+    largest term, so the check fails only where the prefix sum lies within
+    that distance of a rounding boundary.  There, and where s falls below
+    2^-1000, near the subnormal range in which doubling does not commute
+    with rounding, the expression above is evaluated as written.
+    """
+    half = norms[::2]
+    j = int(np.searchsorted(half, half[0] + (_MARGIN_BITS * math.log(2) + math.log(half.size)) / t))
+    terms = np.exp(-t * half[:j]).tolist()
+    s = math.fsum(terms)
+    if j < half.size:
+        terms.append(2 * (half.size - j) * max(math.exp(-t * half[j]), 2.0 ** -1074))
+    if s < 2.0 ** -1000 or (j < half.size and math.fsum(terms) != s):
+        return math.fsum(np.exp(-t * norms).tolist())
+    return 2 * s
+
+
 def f_truncated(A: UnimodularMap, sigma: float, t: float, N: int) -> LatticeSum:
     """Truncated decay sum over the image lattice, with its tail bound.
 
-    The accumulation uses exactly-rounded summation (math.fsum), so the value
-    does not depend on the order of the terms.
+    The value is ``math.fsum(np.exp(-t * lattice_norms(A, sigma, N)))``,
+    exactly rounded, so it does not depend on the order of the terms; it is
+    computed from the prefix of half the window that can change it (see
+    :func:`_decay_window_sum`).
     """
     # Tail prefactor n*(k+1) equals sigma^2 for a unit-area tiling.
     tb = _tail_bound(A, sigma, t, N, 2.0 * math.pi * sigma * sigma)
-    value = math.fsum(np.exp(-t * lattice_norms(A, sigma, N)))
+    value = _decay_window_sum(lattice_norms(A, sigma, N), t)
     return LatticeSum(value=value, t=t, N=N, tail_bound=tb)
 
 

@@ -133,10 +133,10 @@ def solve_monotone_decreasing(
     Brackets by doubling/halving from t_seed, then bisects.  Returns the
     final bracket midpoint and the number of g evaluations.
     """
-    if target <= 0:
-        raise SolverError("target must be positive")
-    if t_seed <= 0:
-        raise SolverError("t_seed must be positive")
+    if not 0 < target < math.inf:  # also rejects nan
+        raise SolverError(f"target must be positive and finite, got {target!r}")
+    if not 0 < t_seed < math.inf:  # also rejects nan
+        raise SolverError(f"t_seed must be positive and finite, got {t_seed!r}")
     lo, hi, evals = _bracket(g, target, t_seed, t_seed, root_tol)
     return 0.5 * (lo + hi), evals
 

@@ -204,6 +204,15 @@ def test_entropy_rejects_nan_entry(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command", ["entropy", "hessian"])
+def test_overflowing_stretch_is_a_validation_error(capsys, command):
+    # e^1000 overflows a float: the map is rejected like a nan entry.
+    code, out, err = run(capsys, command, "--surface", "L", "--u", "1000")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("command", ["entropy", "scan"])
 @pytest.mark.parametrize("width", ["0", "-1e-8", "nan"])
 def test_nonpositive_width_is_a_validation_error(capsys, command, width):

@@ -355,3 +355,88 @@ def test_constructor_floats_round_exact_entries():
         for got, want in zip((A.a, A.b, A.c, A.d), exact):
             assert abs(got - want) <= 2 * math.ulp(want)
 
+
+# The window kernel: f_truncated sums a prefix of half the sorted window and
+# must still equal the exactly rounded sum of every window term, bit for bit.
+
+def _reference_sum(A, sigma, t, N):
+    return math.fsum(np.exp(-t * lattice_norms(A, sigma, N)))
+
+
+def _kernel_draws(count):
+    # Rotated orbit maps diag(e^u, e^-u)·shear(s)·equilateral with |s| <= 3
+    # and |u| <= 1.2, t log-uniform in [0.2, 800].
+    rng = np.random.default_rng(2110)
+    sigmas = (1.0, math.sqrt(3.0), 2.0, math.sqrt(7.0), math.sqrt(8.0), 3.0)
+    for _ in range(count):
+        A = (rotation(rng.uniform(-math.pi, math.pi)) @ diagonal(rng.uniform(-1.2, 1.2))
+             @ shear(rng.uniform(-3, 3)) @ equilateral_matrix())
+        yield (A, sigmas[rng.integers(len(sigmas))],
+               math.exp(rng.uniform(math.log(0.2), math.log(800.0))),
+               int(rng.choice((1, 2, 3, 10, 25, 100, 200))))
+
+
+class _RecordingMath:
+    """The math module, recording the length of every list given to fsum."""
+
+    def __init__(self):
+        self.fsum_sizes = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, xs):
+        self.fsum_sizes.append(len(xs))
+        return math.fsum(xs)
+
+
+def test_f_truncated_equals_full_window_fsum():
+    for A, sigma, t, N in _kernel_draws(320):
+        assert f_truncated(A, sigma, t, N).value == _reference_sum(A, sigma, t, N), (A, sigma, t, N)
+
+
+def test_window_norms_come_in_equal_pairs():
+    # v and -v have bit-identical norms, so the sorted window pairs up.
+    windows = [lattice_norms(A, sigma, N) for A, sigma, _, N in _kernel_draws(320)]
+    windows += [lattice_norms(identity_map(), 1.0, 7),
+                lattice_norms(modular_lattice(0.3, 1.7), 2.0, 9)]
+    for norms in windows:
+        assert np.array_equal(norms[0::2], norms[1::2])
+
+
+def test_failed_cut_check_sums_the_full_window(monkeypatch):
+    # With no margin the bound on the dropped terms is about as large as the
+    # largest term, so the check fails unless a wide gap follows the cut.
+    from origami_entropy import lattice
+
+    monkeypatch.setattr(lattice, "_MARGIN_BITS", 0)
+    recorder = _RecordingMath()
+    monkeypatch.setattr(lattice, "math", recorder)
+    fallbacks = 0
+    for A, sigma, t, N in _kernel_draws(60):
+        recorder.fsum_sizes.clear()
+        got = f_truncated(A, sigma, t, N).value
+        fallbacks += recorder.fsum_sizes[-1] == lattice_norms(A, sigma, N).size
+        assert got == _reference_sum(A, sigma, t, N)
+    assert fallbacks > 40
+
+
+@pytest.mark.parametrize("t", [700.0, 720.0, 745.0, 760.0, 800.0])
+def test_subnormal_or_zero_sum_equals_full_window(monkeypatch, t):
+    # The shortest norm is 1, so these sums fall below 2^-1000, into the
+    # subnormal range or to 0, where the full window is summed.
+    from origami_entropy import lattice
+
+    recorder = _RecordingMath()
+    monkeypatch.setattr(lattice, "math", recorder)
+    A = identity_map()
+    got = f_truncated(A, 1.0, t, 5).value
+    assert got == _reference_sum(A, 1.0, t, 5)
+    assert got < 2.0 ** -1000
+    assert recorder.fsum_sizes[-1] == lattice_norms(A, 1.0, 5).size
+
+
+@pytest.mark.parametrize("u", [1000.0, -1000.0])
+def test_overflowing_entry_is_rejected(u):
+    with pytest.raises(LatticeError, match="finite"):
+        diagonal(u)

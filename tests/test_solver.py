@@ -71,6 +71,16 @@ def test_solve_guards():
         solve_monotone_decreasing(lambda t: 2.0, 0.5, 1.0)  # never decays
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("arg", ["target", "t_seed"])
+def test_solve_rejects_bad_target_or_seed_before_any_evaluation(arg, bad):
+    def g(t):
+        raise AssertionError("g evaluated")
+
+    with pytest.raises(SolverError, match=arg):
+        solve_monotone_decreasing(g, **{"target": 0.5, "t_seed": 1.0, arg: bad})
+
+
 def test_enclosure_reference():
     enc = entropy_enclosure(L_STRATUM, equilateral_matrix(), 100)
     assert enc.h_lo <= enc.h_hi
