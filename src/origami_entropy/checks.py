@@ -23,14 +23,19 @@ from .lattice import (
     equilateral_matrix,
     f_truncated,
     identity_map,
-    lattice_norms,
     modular_lattice,
     shear,
-    smallest_singular_value,
     tail_bound,
     theta_sum,
+    window_radius,
 )
 from .surface import builtin_surface, check_hypothesis
+
+CONNECTION_WINDOW = 3  # max(|a|,|b|) of the traced connections
+ORACLE_TS, ORACLE_TOL = (3.0, 5.0), 1e-12
+# The margin absorbs finite-difference noise where the true derivative is exponentially small.
+THETA_TS, THETA_STEP, THETA_MARGIN, THETA_N = (1.0, 2.0, 4.0), 1e-4, 1e-8, 32
+TRIANGULAR_TS = (1.0, 2.0, 4.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -47,36 +52,37 @@ def random_unimodular(rng: np.random.Generator) -> UnimodularMap:
     return shear(s) @ diagonal(u)
 
 
-def check_multiplicities(max_coeff: int = 3, expected_k: int | None = None) -> CheckResult:
+def check_multiplicities(expected_k: int | None = None) -> CheckResult:
     """Every (vertex class, holonomy) pair carries exactly k+1 connections."""
     failures = []
     for name in ("L", "EW"):
         surf = builtin_surface(name)
         stratum = check_hypothesis(surf)
         k = stratum.k if expected_k is None else expected_k
-        records = oracle.enumerate_singular_connections(surf, max_coeff)
+        records = oracle.enumerate_singular_connections(surf, CONNECTION_WINDOW)
         counts = Counter((r.start_vertex, r.holonomy) for r in records)
         bad = {key: c for key, c in counts.items() if c != k + 1}
-        n_dirs = (2 * max_coeff + 1) ** 2 - 1
+        n_dirs = (2 * CONNECTION_WINDOW + 1) ** 2 - 1
         if len(counts) != stratum.n * n_dirs or bad:
             failures.append(f"{name}: {len(bad)} pairs off target {k + 1}")
-    detail = "; ".join(failures) if failures else f"L and EW, window {max_coeff}: all pairs at k+1"
+    detail = "; ".join(failures) or f"L and EW, window {CONNECTION_WINDOW}: all pairs at k+1"
     return CheckResult("connection multiplicities", not failures, detail)
 
 
-def check_oracle_agreement(max_coeff: int = 3, ts=(3.0, 5.0), tol: float = 1e-12) -> CheckResult:
+def check_oracle_agreement() -> CheckResult:
     """Traced weighted sums reproduce n*(k+1) times the truncated lattice sum."""
     worst = 0.0
     for name in ("L", "EW"):
         surf = builtin_surface(name)
         stratum = check_hypothesis(surf)
         for A in (identity_map(), equilateral_matrix()):
-            records = oracle.enumerate_singular_connections(surf, max_coeff, A)
-            for t in ts:
+            records = oracle.enumerate_singular_connections(surf, CONNECTION_WINDOW, A)
+            for t in ORACLE_TS:
                 traced = math.fsum(math.exp(-t * r.length) for r in records)
-                formula = stratum.n_squares * f_truncated(A, stratum.sigma, t, max_coeff).value
-                worst = max(worst, abs(traced - formula))
-    return CheckResult("oracle vs lattice sum", worst <= tol, f"max |traced - formula| = {worst:.3e}")
+                f = f_truncated(A, stratum.sigma, t, CONNECTION_WINDOW).value
+                worst = max(worst, abs(traced - stratum.n_squares * f))
+    return CheckResult("oracle vs lattice sum", worst <= ORACLE_TOL,
+                       f"max |traced - formula| = {worst:.3e}")
 
 
 def check_series_identity() -> CheckResult:
@@ -102,45 +108,30 @@ def check_series_identity() -> CheckResult:
                        f"below-entropy rejected: {rejected}")
 
 
-def check_theta_monotonicity(ts=(1.0, 2.0, 4.0), step: float = 1e-4,
-                             margin: float = 1e-8, N: int = 32) -> CheckResult:
+def check_theta_monotonicity() -> CheckResult:
     """Finite-difference monotonicity of the Gaussian sum over lattice shapes:
-    decreasing toward x=1/2, increasing in y above the unit circle.  The
-    margin absorbs finite-difference noise where the true derivative is
-    exponentially small."""
+    decreasing toward x=1/2, increasing in y above the unit circle."""
     bad = 0
-    xs = np.linspace(0.05, 0.45, 20)
-    ys = np.linspace(0.55, 2.0, 20)
-    for t in ts:
-        for x in xs:
-            for y in ys:
-                diff = (theta_sum(modular_lattice(x + step, y), t, N)
-                        - theta_sum(modular_lattice(x - step, y), t, N)) / (2 * step)
-                if not diff <= margin:
-                    bad += 1
-    xs2 = np.linspace(0.0, 0.5, 20)
-    ys2 = np.linspace(1.05, 2.0, 20)
-    for t in ts:
-        for x in xs2:
-            for y in ys2:
-                diff = (theta_sum(modular_lattice(x, y + step), t, N)
-                        - theta_sum(modular_lattice(x, y - step), t, N)) / (2 * step)
-                if not diff >= -margin:
-                    bad += 1
+    cases = (((THETA_STEP, 0.0), np.linspace(0.05, 0.45, 20), np.linspace(0.55, 2.0, 20), -1.0),
+             ((0.0, THETA_STEP), np.linspace(0.0, 0.5, 20), np.linspace(1.05, 2.0, 20), 1.0))
+    for (dx, dy), xs, ys, sign in cases:
+        for t in THETA_TS:
+            for x in xs:
+                for y in ys:
+                    diff = (theta_sum(modular_lattice(x + dx, y + dy), t, THETA_N)
+                            - theta_sum(modular_lattice(x - dx, y - dy), t, THETA_N))
+                    if not sign * diff / (2 * THETA_STEP) >= -THETA_MARGIN:
+                        bad += 1
     return CheckResult("gaussian-sum monotonicity grid", bad == 0,
-                       f"{bad} sign violations on 2x(20x20)x{len(ts)} grid")
+                       f"{bad} sign violations on 2x(20x20)x{len(THETA_TS)} grid")
 
 
 def _decay_sum(A: UnimodularMap, t: float) -> float:
-    # |A(a,b)| >= d(A)*max(|a|,|b|): the window drops only terms below e^-45
-    # for t >= 1.  np.sum, not math.fsum: the compared sums differ far above
-    # rounding, and fsum makes this check several times slower.
-    N = min(math.ceil(45.0 / smallest_singular_value(A)), 800)
-    return float(np.sum(np.exp(-t * lattice_norms(A, 1.0, N))))
+    # For t >= 1 the window drops only terms below e^-45.
+    return f_truncated(A, 1.0, t, window_radius(A, 1.0, 45.0)).value
 
 
-def check_triangular_minimum(seed: int = 0, count: int = 200,
-                             ts=(1.0, 2.0, 4.0, 8.0)) -> CheckResult:
+def check_triangular_minimum(seed: int = 0, count: int = 200) -> CheckResult:
     """f_t(L) >= f_t(L_triangular) for random unimodular lattices.
 
     The random lattice's sum is truncated (a strict undercount), so a
@@ -148,13 +139,12 @@ def check_triangular_minimum(seed: int = 0, count: int = 200,
     """
     rng = np.random.default_rng(seed)
     eq = equilateral_matrix()
-    eq_values = {t: _decay_sum(eq, t) for t in ts}
+    eq_values = {t: _decay_sum(eq, t) for t in TRIANGULAR_TS}
     min_slack = math.inf
     for _ in range(count):
         A = random_unimodular(rng)
-        for t in ts:
-            slack = _decay_sum(A, t) - eq_values[t]
-            min_slack = min(min_slack, slack)
+        for t in TRIANGULAR_TS:
+            min_slack = min(min_slack, _decay_sum(A, t) - eq_values[t])
     return CheckResult("triangular lattice minimizes decay sum", min_slack > 0,
                        f"min slack over {count} lattices = {min_slack:.3e}")
 

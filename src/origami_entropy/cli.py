@@ -261,7 +261,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # Dump the traced connection records backing the oracle checks.
         rows = ["surface,start_vertex,a,b,sector,end_vertex,length"]
         for name in ("L", "EW"):
-            for r in oracle.enumerate_singular_connections(builtin_surface(name), 3):
+            for r in oracle.enumerate_singular_connections(builtin_surface(name),
+                                                          checks.CONNECTION_WINDOW):
                 rows.append("%s,%d,%d,%d,%d,%d,%s"
                             % (name, r.start_vertex, r.holonomy[0], r.holonomy[1],
                                r.sector, r.end_vertex, _fmt(r.length)))

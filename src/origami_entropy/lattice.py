@@ -155,6 +155,12 @@ def smallest_singular_value(A: UnimodularMap) -> float:
     return _min_singular(math, A._floats)
 
 
+def window_radius(A: UnimodularMap, sigma: float, r: float) -> int:
+    """Radius of a square window holding every vector of norm |A(a,b)|/sigma <= r."""
+    # |A(a,b)| >= d(A)*max(|a|,|b|); the +1 absorbs the rounding of d(A) and of the inputs.
+    return math.floor(r * sigma / smallest_singular_value(A)) + 1
+
+
 def cell_diameter(A: UnimodularMap, sigma: float) -> float:
     """Diameter of the image under A of a grid cell of side 1/sigma."""
     if sigma <= 0:
@@ -311,21 +317,27 @@ def lattice_norms_mp(A: UnimodularMap, nk1: int, N: int) -> tuple:
     return _norms_mp(A.entries_mp(), nk1, N, mp.mp.prec)
 
 
+def _mp_window(A: UnimodularMap, nk1: int, t, N: int) -> tuple:
+    """t as an mpf, and the norms of the N-window up to (dps+15)*ln 10/t, in window order:
+    later terms cannot influence the result, and the smallest window holding these
+    norms gives them in the order of the N-window."""
+    _check_cap(N)
+    t = mp.mpf(t)
+    cutoff = (mp.mp.dps + 15) * mp.log(10) / t
+    norms = lattice_norms_mp(A, nk1, min(N, window_radius(A, math.sqrt(nk1), float(cutoff))))
+    return t, [ell for ell in norms if ell <= cutoff]
+
+
 def f_truncated_mp(A: UnimodularMap, nk1: int, t, N: int):
     """Extended-precision truncated sum; returns an mpmath float."""
-    norms = lattice_norms_mp(A, nk1, N)
-    t = mp.mpf(t)
-    # Terms beyond ~1.5x the working precision cannot influence the result.
-    cutoff = (mp.mp.dps + 15) * mp.log(10) / t
-    return mp.fsum(mp.exp(-t * ell) for ell in norms if ell <= cutoff)
+    t, norms = _mp_window(A, nk1, t, N)
+    return mp.fsum(mp.exp(-t * ell) for ell in norms)
 
 
 def f_truncated_mp_deriv(A: UnimodularMap, nk1: int, t, N: int):
     """d/dt of :func:`f_truncated_mp` (used by the extended-precision solver)."""
-    norms = lattice_norms_mp(A, nk1, N)
-    t = mp.mpf(t)
-    cutoff = (mp.mp.dps + 15) * mp.log(10) / t
-    return -mp.fsum(ell * mp.exp(-t * ell) for ell in norms if ell <= cutoff)
+    t, norms = _mp_window(A, nk1, t, N)
+    return -mp.fsum(ell * mp.exp(-t * ell) for ell in norms)
 
 
 def tail_bound_mp(A: UnimodularMap, nk1: int, t, N: int) -> tuple:

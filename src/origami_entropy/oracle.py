@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import UnimodularMap, identity_map, lattice_norms, smallest_singular_value
+from .lattice import UnimodularMap, identity_map, lattice_norms, window_radius
 from .surface import SquareTiledSurface, StratumInfo, SurfaceError, check_hypothesis
 
 # Corner types by the quarter-plane sector they occupy around a vertex,
@@ -253,18 +253,15 @@ def count_paths(
     length histogram of chains is the m-fold convolution of the single-
     connection histogram with the appropriate multiplicities.
     """
-    if t_max <= 0:
-        raise OracleError("t_max must be positive")
+    if not 0 < t_max < math.inf:  # also rejects a nan t_max
+        raise OracleError(f"t_max must be positive and finite; got {t_max!r}")
     if not 0 < delta <= 0.05:
         raise OracleError("delta must be in (0, 0.05]")
     k = stratum.k if continuation_weight is None else continuation_weight
     nk1 = stratum.n_squares
     sigma = stratum.sigma
-    # |A(a,b)| >= d(A)*max(|a|,|b|), so this window covers every vector of
-    # scaled length <= t_max.
-    m = int(math.ceil(t_max * sigma / smallest_singular_value(A))) + 1
-    lengths = lattice_norms(A, sigma, m)
-    lengths = lengths[lengths <= t_max]
+    lengths = lattice_norms(A, sigma, window_radius(A, sigma, t_max))
+    lengths = lengths[:np.searchsorted(lengths, t_max, side="right")]
     nbins = int(math.floor(t_max / delta)) + 1
     hist = np.zeros(nbins)
     idx = np.rint(lengths / delta).astype(int)

@@ -152,8 +152,17 @@ def test_verify_deterministic_and_green(capsys):
 
 def test_verify_connection_dump(capsys, tmp_path):
     path = tmp_path / "records.csv"
-    code, _, _ = run(capsys, "verify", "--seed", "0", "--out", str(path))
+    code, out, _ = run(capsys, "verify", "--seed", "0", "--out", str(path))
     assert code == 0
+    assert out == (
+        "PASS connection multiplicities: L and EW, window 3: all pairs at k+1\n"
+        "PASS oracle vs lattice sum: max |traced - formula| = 0.000e+00\n"
+        "PASS series identity: residual 1.965e-10 vs remainder 1.965e-10; "
+        "below-entropy rejected: True\n"
+        "PASS gaussian-sum monotonicity grid: 0 sign violations on 2x(20x20)x3 grid\n"
+        "PASS triangular lattice minimizes decay sum: min slack over 200 lattices = 3.526e-05\n"
+        "PASS tail bound soundness: max (gap - bound) over 20 draws = -6.381e-14\n"
+    )
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "surface,start_vertex,a,b,sector,end_vertex,length"
     # L: 1 vertex x 48 holonomies x 3 sectors; EW: 4 x 48 x 2

@@ -26,7 +26,10 @@ from origami_entropy.lattice import (
     tail_bound,
     tail_bound_mp,
     theta_sum,
+    window_radius,
 )
+from origami_entropy.solver import entropy_enclosure
+from origami_entropy.surface import builtin_surface, check_hypothesis
 
 # Stated entropy of the equilateral point, of unknown source.  It agrees
 # with the computed root to 17 significant digits.
@@ -77,7 +80,9 @@ def test_window_above_cap_fails_before_building():
     try:
         for build in (lambda: lattice_norms(A, 1.0, 3201),
                       lambda: lattice_norms_mp(A, 3, 3201),
-                      lambda: f_truncated(A, 1.0, 4.0, 3201)):
+                      lambda: f_truncated(A, 1.0, 4.0, 3201),
+                      lambda: f_truncated_mp(A, 3, 4.0, 3201),
+                      lambda: f_truncated_mp_deriv(A, 3, 4.0, 3201)):
             with pytest.raises(LatticeError, match="cap"):
                 build()
         peak = tracemalloc.get_traced_memory()[1]
@@ -440,3 +445,57 @@ def test_subnormal_or_zero_sum_equals_full_window(monkeypatch, t):
 def test_overflowing_entry_is_rejected(u):
     with pytest.raises(LatticeError, match="finite"):
         diagonal(u)
+
+
+def _ring_minima(A, W):
+    # out[m] = min |A(a,b)| over max(|a|,|b|) = m; v and -v have equal norms,
+    # so the sides a = m and b = m cover the ring.
+    out = np.full(W + 1, np.inf)
+    for m in range(1, W + 1):
+        k = np.arange(-m, m + 1)
+        out[m] = min(np.hypot(A.a * m + A.b * k, A.c * m + A.d * k).min(),
+                     np.hypot(A.a * k + A.b * m, A.c * k + A.d * m).min())
+    return out
+
+
+def test_window_radius_holds_every_short_vector():
+    # Brute force over a window twice as wide: no vector of norm <= r lies
+    # outside the radius.
+    rng = np.random.default_rng(19)
+    cases = [(sigma, r) for sigma in (1.0, math.sqrt(3.0), math.sqrt(7.0)) for r in (0.5, 5.0, 45.0)]
+    for _ in range(3):
+        A = shear(rng.uniform(-3, 3)) @ diagonal(rng.uniform(-1.5, 1.5))
+        for B in (A, rotation(rng.uniform(0, 2 * math.pi)) @ A):
+            radii = {c: window_radius(B, *c) for c in cases}
+            ring_min = _ring_minima(B, 2 * max(radii.values()))
+            for (sigma, r), R in radii.items():
+                assert R >= 1
+                assert (ring_min[R + 1:2 * R + 1] / sigma > r).all(), (B, sigma, r, R)
+
+
+def _mp_sum_over_full_window(A, nk1, t, N, deriv):
+    # The mp sums as written over the whole N-window, filtered at the cutoff.
+    norms = lattice_norms_mp(A, nk1, N)
+    t = mp.mpf(t)
+    cutoff = (mp.mp.dps + 15) * mp.log(10) / t
+    if deriv:
+        return -mp.fsum(ell * mp.exp(-t * ell) for ell in norms if ell <= cutoff)
+    return mp.fsum(mp.exp(-t * ell) for ell in norms if ell <= cutoff)
+
+
+@pytest.mark.parametrize("family, k, N, dps", [
+    ("L", None, 5, 40), ("St", 4, 25, 60), ("EW", None, 100, 40),
+    ("L", None, 100, 60), ("St", 4, 5, 40), ("EW", None, 25, 60),
+])
+def test_mp_sums_equal_full_window(family, k, N, dps):
+    # nk1 is 3, 7 and 8.  N = 5 lies below the cutoff's radius; at N = 100
+    # the window is clipped.
+    stratum = check_hypothesis(builtin_surface(family, k))
+    nk1 = stratum.n_squares
+    rng = np.random.default_rng(N + dps)
+    A = diagonal(rng.uniform(-0.3, 0.3)) @ shear(rng.uniform(-0.5, 0.5)) @ equilateral_matrix()
+    root = entropy_enclosure(stratum, A, 25).h_lo
+    with mp.workdps(dps):
+        for t in (0.8 * root, 1.2 * root):
+            assert f_truncated_mp(A, nk1, t, N) == _mp_sum_over_full_window(A, nk1, t, N, False)
+            assert f_truncated_mp_deriv(A, nk1, t, N) == _mp_sum_over_full_window(A, nk1, t, N, True)

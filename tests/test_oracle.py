@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from origami_entropy import oracle
-from origami_entropy.lattice import equilateral_matrix, f_truncated, identity_map
+from origami_entropy.lattice import (
+    diagonal,
+    equilateral_matrix,
+    f_truncated,
+    identity_map,
+    lattice_norms,
+    shear,
+    smallest_singular_value,
+)
 from origami_entropy.oracle import (
     LL,
     LR,
@@ -140,6 +148,36 @@ def test_count_paths_no_continuations():
 def test_count_paths_delta_guard():
     with pytest.raises(OracleError):
         count_paths(L_STRATUM, identity_map(), 4.0, 0.2)
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
+def test_count_paths_rejects_bad_horizon(t_max):
+    with pytest.raises(OracleError, match="t_max"):
+        count_paths(L_STRATUM, identity_map(), t_max, 0.01)
+
+
+def _ceil_window_histogram(stratum, A, t_max, delta):
+    # The single-connection histogram over the ceil + 1 window, masked at t_max.
+    sigma = stratum.sigma
+    m = int(math.ceil(t_max * sigma / smallest_singular_value(A))) + 1
+    lengths = lattice_norms(A, sigma, m)
+    lengths = lengths[lengths <= t_max]
+    nbins = int(math.floor(t_max / delta)) + 1
+    hist = np.zeros(nbins)
+    idx = np.rint(lengths / delta).astype(int)
+    np.add.at(hist, idx[idx < nbins], 1.0)
+    return hist
+
+
+def test_count_paths_histogram_matches_ceil_window():
+    # With no continuations the counts are n(k+1) times the histogram; every
+    # longer chain is convolved from it.
+    for stratum in (L_STRATUM, EW_STRATUM):
+        for A in (identity_map(), equilateral_matrix(), shear(0.7) @ diagonal(-0.4)):
+            for t_max in (2.5, 8.0):
+                counts = count_paths(stratum, A, t_max, 1e-3, continuation_weight=0).counts
+                expected = stratum.n_squares * _ceil_window_histogram(stratum, A, t_max, 1e-3)
+                assert np.array_equal(counts, expected), (stratum, A, t_max)
 
 
 def test_count_paths_cumulative_monotone():
