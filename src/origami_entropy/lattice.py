@@ -200,6 +200,37 @@ def lattice_norms(A: UnimodularMap, sigma: float, N: int) -> np.ndarray:
     return out
 
 
+def disc_norms(A: UnimodularMap, sigma: float, N: int, r: float) -> np.ndarray:
+    """The norms <= r of :func:`lattice_norms`, built without the rest of the window.
+
+    Equal, element for element, to ``lattice_norms(A, sigma, N)[:np.searchsorted(
+    ..., r, side="right")]``: sorted ascending and read-only.  With alpha = a^2 + c^2,
+    beta = ab + cd and delta = ad - bc, |A(x,y)|^2 = alpha*(x + y*beta/alpha)^2 +
+    (y*delta)^2/alpha, so the rows |y| <= r*sigma*sqrt(alpha)/|delta| hold the disc,
+    each in an interval of x.  The rows and the intervals are padded by one to absorb
+    their rounding; the norms are computed with lattice_norms' expression and kept
+    when <= r, which makes the result exact.
+    """
+    _check_cap(N)
+    rho, n1, delta = r * sigma, math.hypot(A.a, A.c), A.a * A.d - A.b * A.c
+    rows = min(N, math.floor(min(rho * n1 / abs(delta), N)) + 1)
+    y = np.arange(-rows, rows + 1)
+    # In units of the first column: centre -y*beta/alpha, half-width sqrt(rho^2 - q^2)/n1.
+    q = np.abs(y * (delta / n1))
+    half_width = np.sqrt(np.maximum(rho - q, 0.0) * (rho + q)) / n1
+    centre = y * -((A.a / n1 * A.b + A.c / n1 * A.d) / n1)
+    lo = np.maximum(np.ceil(centre - half_width) - 1, -N).astype(np.int64)
+    hi = np.minimum(np.floor(centre + half_width) + 1, N).astype(np.int64)
+    counts = np.maximum(hi - lo + 1, 0)
+    b = np.repeat(y, counts)
+    a = np.arange(b.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    norms = np.hypot(A.a * a + A.b * b, A.c * a + A.d * b) / sigma
+    # The origin is the only lattice point of norm 0 and lies in row 0.
+    out = np.sort(norms[norms <= r])[1:]
+    out.setflags(write=False)
+    return out
+
+
 def _tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, prefactor: float) -> float:
     # It can overflow only when D > r.
     if not 0 < t < math.inf or N < 1 or sigma <= 0:  # also rejects a nan t
@@ -219,11 +250,18 @@ def tail_bound(A: UnimodularMap, sigma: float, t: float, N: int, n: int, k: int)
     return _tail_bound(A, sigma, t, N, 2.0 * math.pi * n * (k + 1))
 
 
-def _decay_window_sum(norms: np.ndarray, t: float) -> float:
+@lru_cache(maxsize=2)
+def _largest_disc(A: UnimodularMap, sigma: float, N: int) -> list:
+    # [r, disc_norms(A, sigma, N, r)] for the largest r built so far.  t moves
+    # during a solve, so the disc grows in place instead of being keyed on r.
+    return [0.0, None]
+
+
+def _decay_window_sum(A: UnimodularMap, sigma: float, t: float, N: int) -> float:
     """``math.fsum(np.exp(-t * norms))``, bit for bit, from a prefix of half the terms.
 
-    ``norms`` is a sorted window from :func:`lattice_norms`; let ``half =
-    norms[::2]``.
+    ``norms`` is the sorted window ``lattice_norms(A, sigma, N)``; let ``half =
+    norms[::2]``, of size 2N(N+1).
 
     Halving is exact.  v -> -v has no fixed point on the punctured window,
     and the computed norms of v and -v are bit-identical: negating the
@@ -241,6 +279,12 @@ def _decay_window_sum(norms: np.ndarray, t: float) -> float:
     those elements, and ``np.exp`` of a contiguous array gives each element
     the same value, so the prefix terms are terms of the full expression.
 
+    The disc.  Only ``half[:j + 1]`` is read, so only a sorted prefix of the
+    window is built, :func:`disc_norms` up to a radius r; its half equals
+    ``half`` wherever it is defined.  r starts above the cut with slack (a
+    column is a window vector, so half[0] lies under its norm) and grows by
+    1.5x until the disc holds half[j] or the whole window.
+
     The check.  The norms ascend, so each of the len(half) - j dropped terms
     is at most e^(-t*half[j]); ``rest = 2*(len(half) - j)*max(math.exp(-t*
     half[j]), 2^-1074)`` bounds their sum, the factor 2 covering the error
@@ -256,14 +300,24 @@ def _decay_window_sum(norms: np.ndarray, t: float) -> float:
     2^-1000, near the subnormal range in which doubling does not commute
     with rounding, the expression above is evaluated as written.
     """
-    half = norms[::2]
-    j = int(np.searchsorted(half, half[0] + (_MARGIN_BITS * math.log(2) + math.log(half.size)) / t))
+    size = 2 * N * (N + 1)
+    extra = (_MARGIN_BITS * math.log(2) + math.log(size)) / t
+    disc = _largest_disc(A, sigma, N)
+    r = 1.25 * (math.hypot(A.a, A.c) / sigma + extra)
+    while True:
+        if disc[0] < r:
+            disc[:] = r, disc_norms(A, sigma, N, r)
+        half = disc[1][::2]
+        j = int(np.searchsorted(half, half[0] + extra))
+        if j < half.size or half.size == size:
+            break
+        r = 1.5 * disc[0]
     terms = np.exp(-t * half[:j]).tolist()
     s = math.fsum(terms)
-    if j < half.size:
-        terms.append(2 * (half.size - j) * max(math.exp(-t * half[j]), 2.0 ** -1074))
-    if s < 2.0 ** -1000 or (j < half.size and math.fsum(terms) != s):
-        return math.fsum(np.exp(-t * norms).tolist())
+    if j < size:
+        terms.append(2 * (size - j) * max(math.exp(-t * half[j]), 2.0 ** -1074))
+    if s < 2.0 ** -1000 or (j < size and math.fsum(terms) != s):
+        return math.fsum(np.exp(-t * lattice_norms(A, sigma, N)).tolist())
     return 2 * s
 
 
@@ -272,12 +326,12 @@ def f_truncated(A: UnimodularMap, sigma: float, t: float, N: int) -> LatticeSum:
 
     The value is ``math.fsum(np.exp(-t * lattice_norms(A, sigma, N)))``,
     exactly rounded, so it does not depend on the order of the terms; it is
-    computed from the prefix of half the window that can change it (see
-    :func:`_decay_window_sum`).
+    computed from the prefix of half the window that can change it, and
+    only that prefix is built (see :func:`_decay_window_sum`).
     """
     # Tail prefactor n*(k+1) equals sigma^2 for a unit-area tiling.
     tb = _tail_bound(A, sigma, t, N, 2.0 * math.pi * sigma * sigma)
-    value = _decay_window_sum(lattice_norms(A, sigma, N), t)
+    value = _decay_window_sum(A, sigma, t, N)
     return LatticeSum(value=value, t=t, N=N, tail_bound=tb)
 
 

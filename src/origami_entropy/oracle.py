@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import UnimodularMap, identity_map, lattice_norms, window_radius
+from .lattice import UnimodularMap, disc_norms, identity_map, window_radius
 from .surface import SquareTiledSurface, StratumInfo, SurfaceError, check_hypothesis
 
 # Corner types by the quarter-plane sector they occupy around a vertex,
@@ -260,8 +260,7 @@ def count_paths(
     k = stratum.k if continuation_weight is None else continuation_weight
     nk1 = stratum.n_squares
     sigma = stratum.sigma
-    lengths = lattice_norms(A, sigma, window_radius(A, sigma, t_max))
-    lengths = lengths[:np.searchsorted(lengths, t_max, side="right")]
+    lengths = disc_norms(A, sigma, window_radius(A, sigma, t_max), t_max)
     nbins = int(math.floor(t_max / delta)) + 1
     hist = np.zeros(nbins)
     idx = np.rint(lengths / delta).astype(int)

@@ -12,6 +12,7 @@ from origami_entropy.lattice import (
     UnimodularMap,
     cell_diameter,
     diagonal,
+    disc_norms,
     equilateral_matrix,
     f_truncated,
     f_truncated_mp,
@@ -439,6 +440,44 @@ def test_subnormal_or_zero_sum_equals_full_window(monkeypatch, t):
     assert got == _reference_sum(A, 1.0, t, 5)
     assert got < 2.0 ** -1000
     assert recorder.fsum_sizes[-1] == lattice_norms(A, 1.0, 5).size
+
+
+def test_disc_equals_window_prefix():
+    # Rotated orbit maps with |s| <= 3 and |u| <= 3.5, a rotation twin of
+    # each, and a map with orthogonal columns, whose extreme rows end on a
+    # column; r runs from below the shortest norm, through the column norms,
+    # to above the largest, where the disc is the whole window.
+    rng = np.random.default_rng(21)
+    for N in (1, 2, 3, 25, 100, 800):
+        for _ in range(1 if N == 800 else 4):
+            A = (rotation(rng.uniform(-math.pi, math.pi)) @ diagonal(rng.uniform(-3.5, 3.5))
+                 @ shear(rng.uniform(-3, 3)) @ equilateral_matrix())
+            sigma = (1.0, math.sqrt(6.0), 3.0)[rng.integers(3)]
+            R = rotation(rng.uniform(-math.pi, math.pi))
+            for B in (A, R @ A, R @ diagonal(rng.uniform(-3.5, 3.5))):
+                window = lattice_norms(B, sigma, N)
+                picks = window[np.r_[rng.integers(window.size, size=4),
+                                     rng.integers(min(window.size, 40), size=3)]]
+                columns = np.hypot([B.a, B.b], [B.c, B.d]) / sigma
+                for r in (0.5 * window[0], *picks, *np.nextafter(picks, 0), *columns,
+                          window[-1], 2 * window[-1]):
+                    want = window[:np.searchsorted(window, r, side="right")]
+                    got = disc_norms(B, sigma, N, float(r))
+                    assert np.array_equal(got, want) and got.dtype == want.dtype, (B, sigma, N, r)
+                    assert not got.flags.writeable
+
+
+def test_f_truncated_builds_no_full_window(monkeypatch):
+    # At (s, u) = (0, 3) the schedule solves at N = 1600, a window of 10.2 M norms.
+    from origami_entropy import lattice
+
+    def full_window(*args):
+        raise AssertionError(f"lattice_norms{args} was called")
+
+    monkeypatch.setattr(lattice, "lattice_norms", full_window)
+    A, sigma = diagonal(3.0) @ equilateral_matrix(), check_hypothesis(builtin_surface("L")).sigma
+    for t in (10.0, 30.0, 60.0):  # the root is 30.08
+        assert 0 < f_truncated(A, sigma, t, 1600).value < math.inf
 
 
 @pytest.mark.parametrize("u", [1000.0, -1000.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -404,3 +405,59 @@ def test_entropy_equals_two_loop_schedule(monkeypatch):
         A = orbit_matrix(OrbitPoint(rng.uniform(-3, 3), rng.uniform(-1, 1), equilateral_matrix()))
         for goal in (1e-6, 1e-10):
             assert entropy(L_STRATUM, A, goal) == _two_loop_schedule(L_STRATUM, A, goal), (A, goal)
+
+
+@pytest.mark.parametrize("s, u, h_lo, h_hi, N, evaluations", [
+    (3.0, 1.5, "0x1.5fcfe336e87e2p+2", "0x1.5fcfe336e8851p+2", 800, 48),
+    (0.0, 3.0, "0x1.e1547dd790f2ap+4", "0x1.e1547dd790f46p+4", 1600, 53),
+])
+def test_deep_point_runs_in_bounded_memory(s, u, h_lo, h_hi, N, evaluations):
+    # The square windows of these cutoffs hold 2.6 M and 10.2 M norms.
+    A = orbit_matrix(OrbitPoint(s, u, equilateral_matrix()))
+    tracemalloc.start()
+    try:
+        enc = entropy(L_STRATUM, A, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (enc.h_lo, enc.h_hi, enc.N, enc.evaluations) == (
+        float.fromhex(h_lo), float.fromhex(h_hi), N, evaluations)
+    assert peak < 8e6
+
+
+def _enclosure_below_cap(A):
+    # None where no cutoff up to the cap has a decaying tail.
+    try:
+        return entropy(L_STRATUM, A, 1e-10)
+    except SolverError as exc:
+        if "decays only above cutoff" not in str(exc):
+            raise
+        return None
+
+
+def _sl2z(rng):
+    while True:
+        a, b, c, d = (int(x) for x in rng.integers(-5, 6, size=4))
+        if a * d - b * c == 1:
+            return UnimodularMap(float(a), float(b), float(c), float(d))
+
+
+def test_enclosures_respect_the_exact_roots_symmetries():
+    # A*gamma spans the lattice of A for gamma in SL(2, Z), and the mirror
+    # (-s, u) spans the mirror image of the lattice at (s, u): each pair has
+    # one exact root, so their enclosures must intersect.
+    rng = np.random.default_rng(2026)
+    compared = 0
+    for i in range(20):
+        s, u = rng.uniform(-3, 3), rng.uniform(-1, 1) if i < 10 else rng.uniform(-3, 3)
+        A = orbit_matrix(OrbitPoint(s, u, equilateral_matrix()))
+        twins = [A @ _sl2z(rng) for _ in range(5)]
+        twins.append(orbit_matrix(OrbitPoint(-s, u, equilateral_matrix())))
+        enc = _enclosure_below_cap(A)
+        for B in twins:
+            other = _enclosure_below_cap(B)
+            if enc is None or other is None:
+                continue
+            compared += 1
+            assert max(enc.h_lo, other.h_lo) <= min(enc.h_hi, other.h_hi), (s, u, B)
+    assert compared >= 100
