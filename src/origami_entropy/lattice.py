@@ -217,7 +217,9 @@ def disc_norms(A: UnimodularMap, sigma: float, N: int, r: float) -> np.ndarray:
     y = np.arange(-rows, rows + 1)
     # In units of the first column: centre -y*beta/alpha, half-width sqrt(rho^2 - q^2)/n1.
     q = np.abs(y * (delta / n1))
-    half_width = np.sqrt(np.maximum(rho - q, 0.0) * (rho + q)) / n1
+    # At extreme stretches this overflows to inf, and the row is then taken whole.
+    with np.errstate(over="ignore"):
+        half_width = np.sqrt(np.maximum(rho - q, 0.0) * (rho + q)) / n1
     centre = y * -((A.a / n1 * A.b + A.c / n1 * A.d) / n1)
     lo = np.maximum(np.ceil(centre - half_width) - 1, -N).astype(np.int64)
     hi = np.minimum(np.floor(centre + half_width) + 1, N).astype(np.int64)
@@ -315,7 +317,8 @@ def _decay_window_sum(A: UnimodularMap, sigma: float, t: float, N: int) -> float
     terms = np.exp(-t * half[:j]).tolist()
     s = math.fsum(terms)
     if j < size:
-        terms.append(2 * (size - j) * max(math.exp(-t * half[j]), 2.0 ** -1074))
+        # float(): the same IEEE product, whose overflow to inf numpy would warn about.
+        terms.append(2 * (size - j) * max(math.exp(-t * float(half[j])), 2.0 ** -1074))
     if s < 2.0 ** -1000 or (j < size and math.fsum(terms) != s):
         return math.fsum(np.exp(-t * lattice_norms(A, sigma, N)).tolist())
     return 2 * s

@@ -13,11 +13,15 @@ from typing import Callable
 import numpy as np
 
 from .lattice import UnimodularMap, diagonal, f_truncated, shear
-from .solver import EntropyEnclosure, SolverError, entropy
+from .solver import DEFAULT_ROOT_TOL, EntropyEnclosure, SolverError, _first_cutoff, entropy
 from .surface import StratumInfo
 
 DEFAULT_FD_STEP = 1e-3
 _MINIMIZE_EVAL_CAP = 10_000
+# The poll test evaluates the candidate's sum at t = m + _POLL_OFFSET; it is
+# exact while 16*eps*t <= _POLL_OFFSET - DEFAULT_ROOT_TOL, eps = 2^-53 (t <= 56).
+_POLL_OFFSET = 2 * DEFAULT_ROOT_TOL
+_POLL_T_MAX = (_POLL_OFFSET - DEFAULT_ROOT_TOL) / (16 * 2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,43 @@ def fd_hessian(
     return H, det
 
 
+def _poll_rejects(stratum: StratumInfo, A: UnimodularMap, m: float) -> bool:
+    """Whether one sum shows that the midpoint of ``entropy(stratum, A, ...)``
+    (at the default root_tol) is >= m, so that a poll of A against a current
+    midpoint m fails; False means undecided.
+
+    With N0 = :func:`_first_cutoff` and t = m + _POLL_OFFSET, A is rejected
+    iff f_truncated(A, sigma, t, N0).value >= 1/k.  Let F_N be the exact sum
+    over the computed norms n_i of the window N, eps = 2^-53 the unit
+    roundoff and tol the root_tol.
+
+    1. The computed sum is fsum, exactly rounded, of np.exp(fl(-t*n_i)), and
+       fl(t*n_i) >= t*n_i*(1 - eps); np.exp errs by under 1 ulp, which is
+       2*eps relative, or under 2^-1074 for a subnormal term (2e-316 over a
+       window at the cap).  So the computed sum is at most (1 + eps)(1 +
+       2*eps)*F_N0(t*(1 - eps)) plus that, and d ln F/dt <= -n_min puts
+       F_N0 >= 1/k at t*(1 - eps) - 4*eps/n_min: its root r0 lies there or
+       to the right.  If r0 < t, then 1/k = F_N0(r0) >= 2*exp(-r0*n_min)
+       (v and -v) gives n_min >= ln 2/r0 > ln 2/t, so r0 > t - 7*eps*t.
+    2. Windows are nested and every term is positive, so F_N >= F_N0 for the
+       cutoff N >= N0 that entropy returns (or carries), and its root r >= r0.
+    3. _bracket ends with g(hi) < 1/k and hi - lo <= tol, or one ulp apart
+       where that ulp exceeds tol, at roots above 450 > t that need no proof.
+       The bound of 1 read the other way, fsum >= (1 - eps)(1 - 2*eps)*
+       F_N(hi*(1 + eps)), gives hi > r - 7*eps*r, so h_lo = lo > r - tol -
+       7*eps*r.
+    4. midpoint >= h_lo > t - 14*eps*t - tol, and t = fl(m + _POLL_OFFSET)
+       >= (m + _POLL_OFFSET)(1 - eps); so the midpoint is >= m while
+       15*eps*t <= _POLL_OFFSET - tol = 1e-13, which t <= _POLL_T_MAX
+       ensures.  The float error 7*eps*t of 1 is 8e-15 at t = 10.
+
+    A rejected map is not solved, so a solve that would raise does not.
+    """
+    N0, t = _first_cutoff(A, stratum.sigma), m + _POLL_OFFSET
+    return (N0 is not None and t <= _POLL_T_MAX
+            and f_truncated(A, stratum.sigma, t, N0).value >= 1.0 / stratum.k)
+
+
 def minimize(
     stratum: StratumInfo,
     base: UnimodularMap,
@@ -184,16 +225,25 @@ def minimize(
 
     Polls the four axis directions, moves to any strict improvement, halves
     the step on failure, and stops once the step falls below stop_tol.  A
-    poll of a map already solved reuses its value, so the path is that of
-    the plain search; the cap counts polls.
+    poll of a map already solved reuses its value; any other poll is first
+    put to :func:`_poll_rejects`, one sum that shows most failed polls
+    exactly, and is solved only if that does not reject it.  So the path is
+    that of the plain search, and only the start, the moves and the
+    undecided polls are solved; the cap counts polls.
     """
     if abs(start.s) > 3 or abs(start.u) > 1.5:
         raise ValueError("start outside the supported region |s|<=3, |u|<=1.5")
     if not 0 < stop_tol < math.inf:  # also rejects nan
         raise ValueError(f"stop_tol must be positive and finite, got {stop_tol!r}")
-    value = _evaluator(stratum, base, "entropy", None, width_goal)
+    memo: dict[UnimodularMap, float] = {}
+
+    def midpoint(A: UnimodularMap) -> float:
+        if A not in memo:
+            memo[A] = entropy(stratum, A, width_goal).midpoint
+        return memo[A]
+
     s, u = start.s, start.u
-    current = value(s, u)
+    current = midpoint(orbit_matrix(OrbitPoint(s, u, base)))
     polls = 1
     step = 0.1
     while step >= stop_tol:
@@ -201,7 +251,10 @@ def minimize(
             polls += 1
             if polls > _MINIMIZE_EVAL_CAP:
                 raise SolverError("minimize: evaluation cap reached")
-            cand = value(s + ds, u + du)
+            A = orbit_matrix(OrbitPoint(s + ds, u + du, base))
+            if A not in memo and _poll_rejects(stratum, A, current):
+                continue
+            cand = midpoint(A)
             if cand < current:
                 s, u, current = s + ds, u + du, cand
                 break

@@ -170,6 +170,19 @@ def entropy_enclosure(
     return EntropyEnclosure(h_lo=h_lo, h_hi=h_hi, N=N, root_tol=root_tol, evaluations=e1 + e2)
 
 
+def _first_cutoff(A: UnimodularMap, sigma: float) -> int | None:
+    """The first cutoff N = 25, 50, ... <= the cap whose tail bound decays in t,
+    d(A)*N/sigma > D(A); None if there is none.  d*N/sigma doubles exactly with
+    N, so every later cutoff of the schedule decays too."""
+    d, big_d = smallest_singular_value(A), cell_diameter(A, sigma)
+    N = _N_SCHEDULE_START
+    while N <= _N_CAP:
+        if d * N / sigma > big_d:
+            return N
+        N *= 2
+    return None
+
+
 def entropy(
     stratum: StratumInfo,
     A: UnimodularMap,
@@ -178,34 +191,31 @@ def entropy(
 ) -> EntropyEnclosure:
     """Double the cutoff N = 25, 50, ... until the enclosure is narrow enough.
 
-    A cutoff where the tail bound does not decay in t, r = d(A)*N/sigma <=
-    D(A), is skipped without a solve: there the upper equation need not
-    bracket.  The first enclosure of width <= width_goal is returned.  Once
-    a doubled cutoff no longer narrows the enclosure, root_tol, not N, sets
-    its width, and :class:`EnclosureWidthError` carries the previous,
-    narrowest enclosure; so it does at the cutoff cap.
+    The schedule starts at the first cutoff whose tail bound decays in t
+    (:func:`_first_cutoff`); below it, r = d(A)*N/sigma <= D(A), the upper
+    equation need not bracket.  The first enclosure of width <= width_goal
+    is returned.  Once a doubled cutoff no longer narrows the enclosure,
+    root_tol, not N, sets its width, and :class:`EnclosureWidthError`
+    carries the previous, narrowest enclosure; so it does at the cutoff cap.
     """
     if not width_goal > 0:  # also rejects nan
         raise SolverError("width_goal must be positive")
-    sigma = stratum.sigma
-    d, big_d = smallest_singular_value(A), cell_diameter(A, sigma)
-    enc: EntropyEnclosure | None = None
-    N = _N_SCHEDULE_START
-    while N <= _N_CAP:
-        if d * N / sigma > big_d:
-            nxt = entropy_enclosure(stratum, A, N, root_tol)
-            if nxt.width <= width_goal:
-                return nxt
-            if enc is not None and nxt.width >= enc.width:
-                raise EnclosureWidthError(
-                    f"enclosure width {enc.width:.3e} at cutoff {enc.N} does not narrow at "
-                    f"cutoff {N}: root_tol {root_tol:.3e} sets it (goal {width_goal:.3e})",
-                    enc,
-                )
-            enc = nxt
-        N *= 2
-    if enc is None:
+    N = _first_cutoff(A, stratum.sigma)
+    if N is None:
         raise SolverError(f"the tail bound for {A!r} decays only above cutoff {_N_CAP}")
+    enc: EntropyEnclosure | None = None
+    while N <= _N_CAP:
+        nxt = entropy_enclosure(stratum, A, N, root_tol)
+        if nxt.width <= width_goal:
+            return nxt
+        if enc is not None and nxt.width >= enc.width:
+            raise EnclosureWidthError(
+                f"enclosure width {enc.width:.3e} at cutoff {enc.N} does not narrow at "
+                f"cutoff {N}: root_tol {root_tol:.3e} sets it (goal {width_goal:.3e})",
+                enc,
+            )
+        enc = nxt
+        N *= 2
     raise EnclosureWidthError(
         f"cutoff cap {_N_CAP} reached with enclosure width {enc.width:.3e} "
         f"(goal {width_goal:.3e})",

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -220,6 +221,20 @@ def test_overflowing_stretch_is_a_validation_error(capsys, command):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_extreme_stretch_fails_without_a_warning(capsys):
+    # At u = +-700 the norms reach e^700: the disc's row half-widths and the
+    # sum's dropped-terms bound overflow to inf, and neither may warn.
+    errs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in ("700", "-700"):
+            code, out, err = run(capsys, "entropy", "--surface", "L", "--u", u, "--N", "100")
+            assert (code, out) == (3, "")
+            errs.append(err)
+    assert errs[0] == errs[1]
+    assert "no bracket found while doubling" in errs[0]
 
 
 @pytest.mark.parametrize("command", ["entropy", "scan"])

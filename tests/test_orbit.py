@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from origami_entropy import orbit
-from origami_entropy.lattice import equilateral_matrix, f_truncated, identity_map
+from origami_entropy.lattice import UnimodularMap, equilateral_matrix, f_truncated, identity_map
 from origami_entropy.orbit import (
     OrbitPoint,
     fd_gradient,
@@ -187,13 +187,66 @@ def _compass_starts():
     for _ in range(3):
         yield EQ, float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.08, 0.08))
     yield identity_map(), 0.05, 0.02  # test_minimize_escapes_square_critical_point
+    rng = np.random.default_rng(12)
+    for _ in range(2):
+        yield EQ, float(rng.uniform(-3, 3)), float(rng.uniform(-1.5, 1.5))
+    for _ in range(2):
+        yield identity_map(), float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.08, 0.08))
 
 
 @pytest.mark.parametrize("base,s,u", list(_compass_starts()),
-                         ids=["seeded0", "seeded1", "seeded2", "square"])
+                         ids=["seeded0", "seeded1", "seeded2", "square",
+                              "deep0", "deep1", "identity0", "identity1"])
 def test_minimize_path_is_plain_compass_search(base, s, u):
     point = minimize(L_STRATUM, base, OrbitPoint(s, u, base), stop_tol=1e-4)
     assert (point.s, point.u) == _plain_compass_search(base, s, u, 1e-4)
+
+
+def test_minimize_solves_only_moves_and_undecided_polls(monkeypatch):
+    # The start and 4 moves; solving every distinct polled map takes 62 solves here.
+    maps = []
+
+    def recording(stratum, A, width_goal):
+        maps.append(A)
+        return entropy(stratum, A, width_goal)
+
+    monkeypatch.setattr(orbit, "entropy", recording)
+    minimize(L_STRATUM, EQ, OrbitPoint(0.3, 0.05, EQ), stop_tol=1e-5)
+    assert len(maps) <= 20
+
+
+def _sl2z(rng):
+    while True:
+        a, b, c, d = (int(x) for x in rng.integers(-5, 6, size=4))
+        if a * d - b * c == 1:
+            return UnimodularMap(float(a), float(b), float(c), float(d))
+
+
+def test_poll_rejection_is_sound():
+    # Candidates one axis step of 1e-9 to 1e-1 away, two SL(2, Z) twins A*gamma
+    # and the mirror (-s, u), which span the lattice of the current map or its
+    # mirror image; currents in criterion 5's window, a third of them within
+    # 1e-3 and a third within 1e-4 of the minimum, where the steps give near-ties.
+    rng = np.random.default_rng(22)
+    pairs, rejected, near_ties = 0, 0, 0
+    for i in range(12):
+        scale = (1.0, 1e-3, 1e-4)[i % 3]
+        s, u = scale * rng.uniform(-0.4, 0.4), scale * rng.uniform(-0.08, 0.08)
+        A = orbit_matrix(OrbitPoint(s, u, EQ))
+        m = entropy(L_STRATUM, A, 1e-11).midpoint
+        candidates = [orbit_matrix(OrbitPoint(s + ds, u + du, EQ))
+                      for h in (1e-9, 1e-6, 1e-3, 1e-1)
+                      for ds, du in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))]
+        candidates += [A @ _sl2z(rng), A @ _sl2z(rng), orbit_matrix(OrbitPoint(-s, u, EQ))]
+        for B in candidates:
+            pairs += 1
+            if orbit._poll_rejects(L_STRATUM, B, m):
+                cand = entropy(L_STRATUM, B, 1e-11).midpoint
+                assert cand >= m, (s, u, B)
+                rejected += 1
+                near_ties += cand - m < 1e-11
+    assert pairs >= 200
+    assert rejected >= 100 and near_ties >= 5, (rejected, near_ties)
 
 
 @pytest.mark.parametrize("target", ["entropy", "f"])
