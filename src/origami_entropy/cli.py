@@ -19,8 +19,9 @@ import numpy as np
 
 from . import checks, oracle
 from .lattice import UnimodularMap, equilateral_matrix, identity_map
-from .orbit import OrbitPoint, _fd_derivatives, minimize, orbit_matrix, scan
-from .solver import SolverError, entropy, entropy_enclosure, entropy_enclosure_extended
+from .orbit import DEFAULT_FD_STEP, OrbitPoint, _fd_derivatives, minimize, orbit_matrix, scan
+from .solver import (DEFAULT_ROOT_TOL, SolverError, entropy, entropy_enclosure,
+                     entropy_enclosure_extended)
 from .surface import (
     SquareTiledSurface,
     SurfaceError,
@@ -178,8 +179,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_entropy(args: argparse.Namespace) -> int:
     stratum = check_hypothesis(_resolve_surface(args))
     A = _orbit_map(args)
-    tol = _tolerance(args.tol)
     if args.precision == "extended":
+        if args.width is not None or args.tol is not None:
+            raise _CliError("--precision extended takes neither --width nor --tol")
         h_lo, h_hi = entropy_enclosure_extended(stratum, A, args.N, dps=40)
         body = {
             "h_lo": mp.nstr(h_lo, 32),
@@ -188,6 +190,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
             "agree_digits": _shared_digits(h_lo, h_hi, 32),
         }
     else:
+        tol = DEFAULT_ROOT_TOL if args.tol is None else _tolerance(args.tol)
         if args.width is not None:
             enc = entropy(stratum, A, _positive_width(args.width), root_tol=tol)
         else:
@@ -208,8 +211,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     base = _resolve_base(args.base)
     grid = scan(stratum, base, _parse_range(args.s_range), _parse_range(args.u_range),
                 width_goal=_positive_width(args.width))
-    s_min, u_min = grid.argmin_cell()
-    summary = "# argmin s=%s u=%s\n" % (_fmt(s_min), _fmt(u_min))
+    if np.isnan(grid.entropies).all():  # every cell failed: there is no argmin
+        summary = "# argmin none\n"
+    else:
+        summary = "# argmin s=%s u=%s\n" % tuple(map(_fmt, grid.argmin_cell()))
     _emit(grid.to_csv() + summary, args.out)
     if args.out:
         sys.stdout.write(summary)
@@ -219,10 +224,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_hessian(args: argparse.Namespace) -> int:
     stratum = check_hypothesis(_resolve_surface(args))
     base = _orbit_map(args)
-    kwargs = dict(target=args.target, t_fixed=args.t_fixed, step=args.step)
-    if args.target == "f" and args.t_fixed is None:
-        raise _CliError("--target f requires --t-fixed")
-    grad, H, det = _fd_derivatives(stratum, base, **kwargs)
+    if (args.target == "f") != (args.t_fixed is not None):
+        raise _CliError("--target f requires --t-fixed, and --t-fixed requires --target f")
+    grad, H, det = _fd_derivatives(stratum, base, args.target, args.t_fixed, args.step)
     body = {
         "grad_s": _fmt(grad[0]),
         "grad_u": _fmt(grad[1]),
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--N", type=int, default=100)
     p.add_argument("--width", type=float, help="adaptive mode: grow N until this enclosure width")
-    p.add_argument("--tol", type=float, default=1e-13, help="root tolerance")
+    p.add_argument("--tol", type=float, help=f"root tolerance (default {DEFAULT_ROOT_TOL:g})")
     p.add_argument("--precision", choices=("double", "extended"), default="double")
     p.set_defaults(func=cmd_entropy)
 
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=0.0)
     p.add_argument("--target", choices=("entropy", "f"), default="entropy")
     p.add_argument("--t-fixed", type=float, help="fixed t for --target f")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=DEFAULT_FD_STEP)
     p.set_defaults(func=cmd_hessian)
 
     p = sub.add_parser("minimize", help="pattern-search minimization of the entropy")

@@ -17,6 +17,7 @@ from .solver import DEFAULT_ROOT_TOL, EntropyEnclosure, SolverError, _first_cuto
 from .surface import StratumInfo
 
 DEFAULT_FD_STEP = 1e-3
+_WIDTH_GOAL = 1e-11  # enclosure width of every solve of the differences and the search
 _MINIMIZE_EVAL_CAP = 10_000
 # The poll test evaluates the candidate's sum at t = m + _POLL_OFFSET; it is
 # exact while 16*eps*t <= _POLL_OFFSET - DEFAULT_ROOT_TOL, eps = 2^-53 (t <= 56).
@@ -98,11 +99,13 @@ def scan(
 
 
 def _evaluator(stratum: StratumInfo, base: UnimodularMap, target: str,
-               t_fixed: float | None, width_goal: float) -> Callable[[float, float], float]:
-    """(s, u) -> the target at orbit_matrix(OrbitPoint(s, u, base)).
+               t_fixed: float | None) -> Callable[..., float]:
+    """(s, u[, m]) -> the target at orbit_matrix(OrbitPoint(s, u, base)).
 
     The target is a pure function of the map's floats, so each distinct map
-    is solved once; the memo lives as long as the returned function.
+    is solved once; the memo lives as long as the returned function.  Given
+    a current midpoint m, a new map that :func:`_poll_rejects` turns down is
+    stored as inf unsolved: its midpoint is >= m, and m only falls.
     """
     if target == "f" and t_fixed is None:
         raise ValueError("t_fixed is required when target='f'")
@@ -110,22 +113,23 @@ def _evaluator(stratum: StratumInfo, base: UnimodularMap, target: str,
         raise ValueError(f"unknown target {target!r}")
     memo: dict[UnimodularMap, float] = {}
 
-    def value(s: float, u: float) -> float:
+    def value(s: float, u: float, m: float | None = None) -> float:
         A = orbit_matrix(OrbitPoint(s, u, base))
         if A not in memo:
-            memo[A] = (f_truncated(A, stratum.sigma, t_fixed, 100).value if target == "f"
-                       else entropy(stratum, A, width_goal).midpoint)
+            memo[A] = (math.inf if m is not None and _poll_rejects(stratum, A, m)
+                       else f_truncated(A, stratum.sigma, t_fixed, 100).value if target == "f"
+                       else entropy(stratum, A, _WIDTH_GOAL).midpoint)
         return memo[A]
 
     return value
 
 
 def _stencil(stratum: StratumInfo, base: UnimodularMap, target: str, t_fixed: float | None,
-             step: float, width_goal: float) -> Callable[[int, int], float]:
+             step: float) -> Callable[[int, int], float]:
     """(i, j) -> the target at (s, u) = (i*step, j*step)."""
     if not step > 0:  # also rejects nan
         raise ValueError("step must be positive")
-    value = _evaluator(stratum, base, target, t_fixed, width_goal)
+    value = _evaluator(stratum, base, target, t_fixed)
     return lambda i, j: value(i * step, j * step)
 
 
@@ -139,10 +143,9 @@ def fd_gradient(
     target: str = "entropy",
     t_fixed: float | None = None,
     step: float = DEFAULT_FD_STEP,
-    width_goal: float = 1e-11,
 ) -> np.ndarray:
     """Central first differences of the target in (s, u) at (0, 0)."""
-    return _gradient(_stencil(stratum, base, target, t_fixed, step, width_goal), step)
+    return _gradient(_stencil(stratum, base, target, t_fixed, step), step)
 
 
 def _fd_derivatives(
@@ -151,11 +154,10 @@ def _fd_derivatives(
     target: str = "entropy",
     t_fixed: float | None = None,
     step: float = DEFAULT_FD_STEP,
-    width_goal: float = 1e-11,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Central first and second differences in (s, u) at (0, 0) from one
     nine-point stencil, each map solved once; returns (gradient, H, det H)."""
-    v = _stencil(stratum, base, target, t_fixed, step, width_goal)
+    v = _stencil(stratum, base, target, t_fixed, step)
     h2 = step * step
     hss = (v(1, 0) - 2 * v(0, 0) + v(-1, 0)) / h2
     huu = (v(0, 1) - 2 * v(0, 0) + v(0, -1)) / h2
@@ -170,10 +172,9 @@ def fd_hessian(
     target: str = "entropy",
     t_fixed: float | None = None,
     step: float = DEFAULT_FD_STEP,
-    width_goal: float = 1e-11,
 ) -> tuple[np.ndarray, float]:
     """Central second differences in (s, u) at (0, 0); returns (H, det H)."""
-    _, H, det = _fd_derivatives(stratum, base, target, t_fixed, step, width_goal)
+    _, H, det = _fd_derivatives(stratum, base, target, t_fixed, step)
     return H, det
 
 
@@ -219,31 +220,27 @@ def minimize(
     base: UnimodularMap,
     start: OrbitPoint,
     stop_tol: float = 1e-5,
-    width_goal: float = 1e-11,
 ) -> OrbitPoint:
     """Compass (pattern) search on the enclosure midpoint, halving steps.
 
     Polls the four axis directions, moves to any strict improvement, halves
-    the step on failure, and stops once the step falls below stop_tol.  A
-    poll of a map already solved reuses its value; any other poll is first
-    put to :func:`_poll_rejects`, one sum that shows most failed polls
-    exactly, and is solved only if that does not reject it.  So the path is
-    that of the plain search, and only the start, the moves and the
-    undecided polls are solved; the cap counts polls.
+    the step on failure, and stops once the step falls below stop_tol.  The
+    polls read the memo of :func:`_evaluator`: a map already met reuses its
+    value, and any other is first put to :func:`_poll_rejects`, one sum that
+    shows most failed polls exactly, and is solved only if that does not
+    reject it.  A rejected map is stored as inf, never tested again: its
+    midpoint is >= the midpoint it lost to, which only falls, so it could
+    never win a later poll.  So the path is that of the plain search, and
+    only the start, the moves and the undecided polls are solved; the cap
+    counts polls.
     """
     if abs(start.s) > 3 or abs(start.u) > 1.5:
         raise ValueError("start outside the supported region |s|<=3, |u|<=1.5")
     if not 0 < stop_tol < math.inf:  # also rejects nan
         raise ValueError(f"stop_tol must be positive and finite, got {stop_tol!r}")
-    memo: dict[UnimodularMap, float] = {}
-
-    def midpoint(A: UnimodularMap) -> float:
-        if A not in memo:
-            memo[A] = entropy(stratum, A, width_goal).midpoint
-        return memo[A]
-
+    value = _evaluator(stratum, base, "entropy", None)
     s, u = start.s, start.u
-    current = midpoint(orbit_matrix(OrbitPoint(s, u, base)))
+    current = value(s, u)
     polls = 1
     step = 0.1
     while step >= stop_tol:
@@ -251,10 +248,7 @@ def minimize(
             polls += 1
             if polls > _MINIMIZE_EVAL_CAP:
                 raise SolverError("minimize: evaluation cap reached")
-            A = orbit_matrix(OrbitPoint(s + ds, u + du, base))
-            if A not in memo and _poll_rejects(stratum, A, current):
-                continue
-            cand = midpoint(A)
+            cand = value(s + ds, u + du, current)
             if cand < current:
                 s, u, current = s + ds, u + du, cand
                 break

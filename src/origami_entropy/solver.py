@@ -122,25 +122,6 @@ def _bracket(
     return lo, hi, evals
 
 
-def solve_monotone_decreasing(
-    g: Callable[[float], float],
-    target: float,
-    t_seed: float,
-    root_tol: float = DEFAULT_ROOT_TOL,
-) -> tuple[float, int]:
-    """Root of g(t) = target for strictly decreasing g on (0, inf).
-
-    Brackets by doubling/halving from t_seed, then bisects.  Returns the
-    final bracket midpoint and the number of g evaluations.
-    """
-    if not 0 < target < math.inf:  # also rejects nan
-        raise SolverError(f"target must be positive and finite, got {target!r}")
-    if not 0 < t_seed < math.inf:  # also rejects nan
-        raise SolverError(f"t_seed must be positive and finite, got {t_seed!r}")
-    lo, hi, evals = _bracket(g, target, t_seed, t_seed, root_tol)
-    return 0.5 * (lo + hi), evals
-
-
 def entropy_enclosure(
     stratum: StratumInfo,
     A: UnimodularMap,

@@ -348,3 +348,48 @@ def test_entropy_width_below_root_tol_floor_fails_after_two_solves(capsys, monke
     assert out == ""
     assert calls == [25, 50]
     assert "does not narrow" in err
+
+
+def test_scan_with_every_cell_failed_exits_3(capsys):
+    code, out, err = run(capsys, "scan", "--surface", "L", "--s-range=0:0:1",
+                         "--u-range=200:200:1")
+    assert code == 3
+    assert err == ""
+    lines = out.strip().split("\n")
+    assert lines[0] == "s,u,h_mid,h_width"
+    assert lines[1] == "0,200,nan,nan"
+    assert lines[2] == "# argmin none"
+
+
+@pytest.mark.parametrize("flag", [("--width", "1e-3"), ("--tol", "5")])
+def test_extended_precision_rejects_width_and_tol(capsys, flag):
+    code, out, err = run(capsys, "entropy", "--surface", "L", "--precision", "extended", *flag)
+    assert code == 2
+    assert out == ""
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("t", ["nan", "4.35"])
+def test_hessian_t_fixed_requires_f_target(capsys, t):
+    code, out, err = run(capsys, "hessian", "--surface", "L", f"--t-fixed={t}")
+    assert code == 2
+    assert out == ""
+    assert "--target f" in err
+
+
+@pytest.mark.parametrize("mode", [("--N", "100"), ("--width", "1e-10")])
+def test_entropy_default_tol_is_the_solver_default(capsys, mode):
+    _, default, _ = run(capsys, "entropy", "--surface", "L", "--s", "0.1", *mode)
+    code, explicit, _ = run(capsys, "entropy", "--surface", "L", "--s", "0.1", *mode,
+                            f"--tol={solver.DEFAULT_ROOT_TOL!r}")
+    assert code == 0
+    assert default == explicit
+
+
+def test_scan_partly_failed_names_the_argmin_of_its_solved_cells(capsys):
+    code, out, _ = run(capsys, "scan", "--surface", "L", "--s-range=0:0:1",
+                       "--u-range=0:200:2")
+    assert code == 3
+    lines = out.strip().split("\n")
+    assert lines[2] == "0,200,nan,nan"
+    assert lines[3] == "# argmin s=0 u=0"

@@ -215,6 +215,24 @@ def test_minimize_solves_only_moves_and_undecided_polls(monkeypatch):
     assert len(maps) <= 20
 
 
+def test_minimize_tests_each_poll_once(monkeypatch):
+    # A rejected map stays rejected, since the current midpoint only falls.
+    maps = []
+    rejects = orbit._poll_rejects
+
+    def recording(stratum, A, m):
+        maps.append(A)
+        return rejects(stratum, A, m)
+
+    monkeypatch.setattr(orbit, "_poll_rejects", recording)
+    rng = np.random.default_rng(23)
+    starts = [(0.3, 0.05)] + [(rng.uniform(-0.4, 0.4), rng.uniform(-0.08, 0.08)) for _ in range(2)]
+    for s, u in starts:
+        maps.clear()
+        minimize(L_STRATUM, EQ, OrbitPoint(s, u, EQ), stop_tol=1e-5)
+        assert maps and len(maps) == len(set(maps)), (s, u)
+
+
 def _sl2z(rng):
     while True:
         a, b, c, d = (int(x) for x in rng.integers(-5, 6, size=4))
